@@ -3,13 +3,15 @@
 // example admits requests one at a time, consumes reports in completion
 // order, and flushes mid-stream so the master keeps learning between
 // requests (continuous master updates). It finishes by driving the same
-// requests through the framed DCWP wire protocol, client-side, against an
-// in-process serve loop.
+// requests through the framed DCWP wire protocol, client-side, against the
+// in-process front end (one stdin-style connection over a socketpair).
 //
 //   $ ./streamserve
 #include <cstdio>
 #include <sstream>
 
+#include "net/server.hpp"
+#include "service/sharding.hpp"
 #include "service/streaming.hpp"
 #include "service/wire.hpp"
 #include "sparksim/workloads.hpp"
@@ -24,7 +26,8 @@ int main() {
   options.service.threads = 4;
   options.service.api.tuner.seed = 7;
   options.master_update_steps = 4;  // fine-tune steps after each merge
-  service::StreamingService svc(options);
+  service::ShardedStreamingService sharded(options, 1);
+  service::StreamingService& svc = sharded.shard(0);
 
   std::puts("training models 'sort' and 'graph'...");
   svc.train_model("sort", sparksim::make_workload(WorkloadType::kTeraSort, 3.2),
@@ -70,7 +73,8 @@ int main() {
               static_cast<unsigned long long>(svc.model_epoch("graph")));
 
   // 4. The same conversation over the framed wire protocol: encode REQ
-  //    frames (JSONL payloads), run the serve loop, decode the REP frames.
+  //    frames (JSONL payloads), serve them through the front end, decode
+  //    the REP frames (admission order).
   std::vector<std::pair<service::FrameType, std::string>> frames;
   for (const char* id : suite) {
     std::string payload = std::string("{\"id\":\"wire-") + id +
@@ -84,11 +88,11 @@ int main() {
 
   std::istringstream wire_in(service::encode_frames(frames));
   std::ostringstream wire_out;
-  const auto result = service::serve_frame_stream(wire_in, wire_out, svc);
+  const auto result = net::serve_stream(sharded, wire_in, wire_out);
 
   std::printf("\nwire stream: %zu requests, %zu failed, clean_end=%d\n",
               result.requests, result.failed_sessions,
-              static_cast<int>(result.clean_end));
+              static_cast<int>(result.clean_ends));
   for (const auto& frame : service::decode_frames(wire_out.str())) {
     std::printf("  %-4s %s\n",
                 service::frame_type_name(

@@ -1,8 +1,10 @@
 #include "cli/commands.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <deque>
 #include <fstream>
-#include <iostream>
 #include <memory>
 #include <ostream>
 #include <sstream>
@@ -30,11 +32,9 @@
 #include "sparksim/job_sim.hpp"
 #include "streamsim/workloads.hpp"
 
-#if !defined(_WIN32)
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
-#endif
 
 namespace deepcat::cli {
 
@@ -150,23 +150,14 @@ void print_usage(std::ostream& os) {
         "                              k-NN query against a saved index\n";
 }
 
-int stream_exit_code(const service::StreamServeResult& result) {
-  return (result.failed_sessions == 0 && result.parse_errors == 0 &&
-          result.protocol_errors == 0 && result.clean_end)
-             ? 0
-             : 1;
-}
-
-#if !defined(_WIN32)
 int front_end_exit_code(const net::FrontEndStats& stats) {
   // Overload rejections are the protocol working as designed, not a
-  // failure; anything lost or corrupted is.
+  // failure; anything lost or corrupted (an EOF without END included) is.
   return (stats.failed_sessions == 0 && stats.parse_errors == 0 &&
           stats.protocol_errors == 0 && stats.forced_closes == 0)
              ? 0
              : 1;
 }
-#endif
 
 int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
                      const std::string& checkpoint_dir) {
@@ -176,12 +167,6 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
   const auto seed = static_cast<std::uint64_t>(args.number_or("seed", 1));
   const auto socket_path = args.flag("socket");
   const auto tcp_spec = args.flag("tcp");
-#if defined(_WIN32)
-  if (socket_path || tcp_spec) {
-    throw std::invalid_argument(
-        "serve: --socket/--tcp are not supported on this platform");
-  }
-#endif
   const bool front_end = socket_path.has_value() || tcp_spec.has_value();
   const auto http_spec = args.flag("http");
   if (http_spec && !front_end) {
@@ -192,11 +177,6 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
   const auto shards =
       std::max<std::size_t>(1, static_cast<std::size_t>(
                                    args.number_or("shards", 1)));
-  if (shards > 1 && !front_end) {
-    throw std::invalid_argument(
-        "serve: --shards requires --socket or --tcp (the in-memory stream "
-        "driver is single-connection)");
-  }
 
   service::StreamingOptions options;
   options.service.cluster = args.flag_or("cluster", "a");
@@ -277,13 +257,11 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
         "--trace-stream)");
   }
 
-  service::StreamServeOptions serve_options;
-  serve_options.tele_every =
-      static_cast<std::size_t>(args.number_or("tele-every", 0));
+  net::FrontEndOptions fe;
+  fe.tele_every = static_cast<std::size_t>(args.number_or("tele-every", 0));
   // Logical-clock runs promise byte-identical telemetry across thread
   // counts; scheduling-dependent fields would break that promise.
-  serve_options.tele_include_nondeterministic =
-      !(obs_on && clock_kind == "logical");
+  fe.tele_include_nondeterministic = !(obs_on && clock_kind == "logical");
 
   // Wire bytes to stdout (no --out / --socket / --tcp) must stay pure
   // protocol, so status text is suppressed in that mode.
@@ -329,11 +307,9 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
     svc.set_warm_index(std::move(index));
   }
 
-  service::StreamServeResult result;
-  int exit_code = 0;
+  fe.obs = options.service.obs;
+  net::FrontEndStats stats;
   if (front_end) {
-#if !defined(_WIN32)
-    net::FrontEndOptions fe;
     if (socket_path) fe.unix_path = *socket_path;
     if (tcp_spec) {
       const auto [host, port] = net::parse_host_port(*tcp_spec);
@@ -354,8 +330,6 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
         args.number_or("exit-after", legacy_single ? 1 : 0));
     fe.flush_on_end =
         args.number_or("flush-on-end", legacy_single ? 1 : 0) != 0.0;
-    fe.serve = serve_options;
-    fe.obs = options.service.obs;
     if (http_spec) {
       const auto [http_host, http_port] = net::parse_host_port(*http_spec);
       fe.http_host = http_host.empty() ? "127.0.0.1" : http_host;
@@ -373,7 +347,7 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
          << server.http_port() << '\n';
     }
     os << std::flush;
-    const net::FrontEndStats stats = server.run();
+    stats = server.run();
     os << "serve done: " << stats.accepted << " connections ("
        << stats.clean_ends << " clean), " << stats.requests << " requests, "
        << stats.replies << " replies, " << stats.failed_sessions
@@ -387,20 +361,18 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
          << stats.http_errors << " http errors";
     }
     os << '\n';
-    exit_code = front_end_exit_code(stats);
-#endif
   } else {
-    std::ifstream in_file;
-    std::istringstream synth_in(std::ios::binary);
-    std::istream* in = &std::cin;
-    if (const auto req_path = args.flag("requests")) {
+    const auto req_path = args.flag("requests");
+    const auto in_path = args.flag("in");
+    if (req_path && in_path) {
+      throw std::invalid_argument(
+          "serve: --requests and --in are mutually exclusive in stream mode");
+    }
+    std::string synth;
+    net::FdGuard in_file;
+    if (req_path) {
       // Human-writable bridge: frame each JSONL request line as a REQ and
       // append a clean END, so smoke tests don't need a wire encoder.
-      if (args.flag("in")) {
-        throw std::invalid_argument(
-            "serve: --requests and --in are mutually exclusive in stream "
-            "mode");
-      }
       std::ifstream req(*req_path);
       if (!req) {
         throw std::invalid_argument("serve: cannot open requests file '" +
@@ -414,15 +386,13 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
         }
       }
       frames.emplace_back(service::FrameType::kEnd, "");
-      synth_in.str(service::encode_frames(frames));
-      in = &synth_in;
-    } else if (const auto in_path = args.flag("in")) {
-      in_file.open(*in_path, std::ios::binary);
-      if (!in_file) {
+      synth = service::encode_frames(frames);
+    } else if (in_path) {
+      in_file.reset(::open(in_path->c_str(), O_RDONLY | O_CLOEXEC));
+      if (!in_file.valid()) {
         throw std::invalid_argument("serve: cannot open wire input '" +
                                     *in_path + "'");
       }
-      in = &in_file;
     }
     std::ofstream out_file;
     std::ostream* out = &os;  // quiet mode: wire bytes into the CLI stream
@@ -434,9 +404,15 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
       }
       out = &out_file;
     }
-    result = service::serve_frame_stream(*in, *out, svc.shard(0),
-                                         serve_options);
-    exit_code = stream_exit_code(result);
+    // stdin/stdout, files and the --requests bridge are served as one
+    // connection of the same front end (over a socketpair).
+    if (req_path) {
+      std::istringstream synth_in(std::move(synth), std::ios::binary);
+      stats = net::serve_stream(svc, synth_in, *out, fe);
+    } else {
+      stats = net::serve_stream(
+          svc, in_file.valid() ? in_file.get() : STDIN_FILENO, *out, fe);
+    }
   }
 
   if (trace_stream) {
@@ -468,13 +444,13 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
   }
 
   if (!quiet && !front_end) {
-    os << "stream done: " << result.requests << " requests, "
-       << result.failed_sessions << " failed sessions, "
-       << result.parse_errors << " parse errors, " << result.protocol_errors
+    os << "stream done: " << stats.requests << " requests, "
+       << stats.failed_sessions << " failed sessions, "
+       << stats.parse_errors << " parse errors, " << stats.protocol_errors
        << " protocol errors"
-       << (result.clean_end ? "" : " (no clean END frame)") << '\n';
+       << (stats.clean_ends != 0 ? "" : " (no clean END frame)") << '\n';
   }
-  return exit_code;
+  return front_end_exit_code(stats);
 }
 
 }  // namespace
@@ -688,18 +664,23 @@ int cmd_serve(const ParsedArgs& args, std::ostream& os) {
       static_cast<std::size_t>(args.number_or("train-iters", 0));
   const auto seed = static_cast<std::uint64_t>(args.number_or("seed", 1));
 
-  service::ServiceOptions options;
-  options.cluster = args.flag_or("cluster", "a");
-  options.threads = static_cast<std::size_t>(args.number_or("threads", 0));
-  options.api.tuner.seed = seed;
-  options.api.env.seed = seed + 1000;
+  // The batch runs on the streaming engine: every session is served
+  // against one epoch snapshot, then a single flush merges them all,
+  // without master fine-tune steps.
+  service::StreamingOptions options;
+  options.service.cluster = args.flag_or("cluster", "a");
+  options.service.threads =
+      static_cast<std::size_t>(args.number_or("threads", 0));
+  options.service.api.tuner.seed = seed;
+  options.service.api.env.seed = seed + 1000;
+  options.master_update_steps = 0;
 
-  service::TuningService svc(options);
+  service::StreamingService svc(options);
   service::ModelRegistry registry(*checkpoint_dir);
 
   const auto version = registry.latest_version(model_name);
   if (version) {
-    svc.load_master_file(registry.path_for(model_name, *version));
+    svc.load_model_file(model_name, registry.path_for(model_name, *version));
     os << "loaded model '" << model_name << "' v" << *version << " from "
        << registry.directory() << '\n';
   } else if (train_iters > 0) {
@@ -708,8 +689,9 @@ int cmd_serve(const ParsedArgs& args, std::ostream& os) {
     const double size = args.number_or("train-size", default_size(type));
     os << "no published model '" << model_name << "'; training "
        << train_iters << " offline iterations...\n";
-    svc.train_master(make_workload(type, size), train_iters);
-    const std::uint32_t v = registry.publish(model_name, svc.master());
+    svc.train_model(model_name, make_workload(type, size), train_iters);
+    const std::uint32_t v =
+        registry.publish(model_name, svc.master(model_name));
     os << "published model '" << model_name << "' v" << v << '\n';
   } else {
     throw std::invalid_argument(
@@ -725,16 +707,36 @@ int cmd_serve(const ParsedArgs& args, std::ostream& os) {
     throw std::invalid_argument("serve: cannot open requests file '" +
                                 *requests_path + "'");
   }
-  const auto requests = service::parse_requests_jsonl(req_stream);
+  auto requests = service::parse_requests_jsonl(req_stream);
+  // One master serves the whole batch, whatever model or scope a line
+  // names: a scope is only echoed back, and a warm count or trace context
+  // is ignored (the batch loads no experience index and runs no tracer).
+  std::vector<service::TuneScope> scopes;
+  scopes.reserve(requests.size());
+  for (auto& request : requests) {
+    request.model = model_name;
+    scopes.push_back(request.scope);
+    request.scope = service::TuneScope::kGlobal;
+    request.warm_k = 0;
+    request.trace_id.clear();
+  }
   os << "serving " << requests.size() << " requests on "
-     << (options.threads == 0 ? std::string("hardware")
-                              : std::to_string(options.threads))
+     << (options.service.threads == 0
+             ? std::string("hardware")
+             : std::to_string(options.service.threads))
      << " threads...\n";
-  const auto reports = svc.run_batch(requests);
+  service::BatchResult batch = service::serve_batch(svc, requests);
+  for (std::size_t i = 0; i < scopes.size(); ++i) {
+    if (scopes[i] != service::TuneScope::kGlobal) {
+      batch.reports[i].session.scope = service::to_string(scopes[i]);
+    }
+  }
 
   std::ostringstream body;
-  for (const auto& r : reports) service::write_report_jsonl(body, r);
-  service::write_metrics_jsonl(body, svc.metrics());
+  for (const auto& r : batch.reports) {
+    service::write_report_jsonl(body, r.session);
+  }
+  service::write_metrics_jsonl(body, batch.metrics);
   if (const auto out_path = args.flag("out")) {
     std::ofstream out(*out_path, std::ios::trunc);
     if (!out) {
@@ -742,31 +744,21 @@ int cmd_serve(const ParsedArgs& args, std::ostream& os) {
                                   *out_path + "'");
     }
     out << body.str();
-    os << "wrote " << reports.size() << " report lines + metrics to "
+    os << "wrote " << batch.reports.size() << " report lines + metrics to "
        << *out_path << '\n';
   } else {
     os << body.str();
   }
 
   if (args.number_or("publish", 0) != 0.0) {
-    const std::uint32_t v = registry.publish(model_name, svc.master());
+    const std::uint32_t v =
+        registry.publish(model_name, svc.master(model_name));
     os << "published post-batch model '" << model_name << "' v" << v << '\n';
   }
-
-  std::size_t failed = 0;
-  for (const auto& r : reports) {
-    if (!r.ok) ++failed;
-  }
-  return failed == 0 ? 0 : 1;
+  return batch.metrics.sessions_failed == 0 ? 0 : 1;
 }
 
 int cmd_stats(const ParsedArgs& args, std::ostream& os) {
-#if defined(_WIN32)
-  (void)args;
-  (void)os;
-  throw std::invalid_argument("stats: --socket is not supported on this "
-                              "platform");
-#else
   const auto socket_path = args.flag("socket");
   const auto tcp_spec = args.flag("tcp");
   if (!socket_path && !tcp_spec) {
@@ -926,7 +918,6 @@ int cmd_stats(const ParsedArgs& args, std::ostream& os) {
        << " spans, trace id '" << trace_id << "')\n";
   }
   return errors == 0 ? 0 : 1;
-#endif
 }
 
 namespace {

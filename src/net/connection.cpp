@@ -6,34 +6,6 @@
 
 namespace deepcat::net {
 
-void ConnMetrics::record(const service::StreamReport& report) {
-  const service::SessionReport& session = report.session;
-  if (!session.ok) {
-    ++totals_.sessions_failed;
-    return;
-  }
-  ++totals_.sessions_served;
-  totals_.evaluations_paid += session.report.steps.size();
-  totals_.evaluation_seconds += session.report.total_evaluation_seconds();
-  const double rec = session.report.total_recommendation_seconds();
-  totals_.recommendation_seconds += rec;
-  rec_costs_.add(rec);
-  reward_sum_ += session.mean_reward();
-  speedup_sum_ += session.report.speedup_over_default();
-}
-
-service::ServiceMetrics ConnMetrics::snapshot() const {
-  service::ServiceMetrics m = totals_;
-  if (m.sessions_served > 0) {
-    m.p50_recommendation_seconds = rec_costs_.quantile(0.50);
-    m.p95_recommendation_seconds = rec_costs_.quantile(0.95);
-    m.mean_session_reward =
-        reward_sum_ / static_cast<double>(m.sessions_served);
-    m.mean_speedup = speedup_sum_ / static_cast<double>(m.sessions_served);
-  }
-  return m;
-}
-
 IoStatus Connection::read_some() {
   char buf[16 * 1024];
   bool progressed = false;

@@ -5,14 +5,16 @@
 // side, a byte queue with partial-write tracking on the write side
 // (EPOLLOUT is armed only while the queue is nonempty), per-connection
 // protocol counters, and a connection-scoped metrics accumulator so the
-// TELE frames this connection receives at FLSH/END are a pure function of
-// ITS requests — never of what other connections happened to be doing.
+// session aggregate in the TELE frames this connection receives at
+// FLSH/END is a pure function of ITS requests — never of what other
+// connections happened to be doing.
 //
 // Reply ordering: session completions arrive in scheduling order, which
 // is nondeterministic. The connection buffers out-of-order replies in
 // `pending_replies` (keyed by per-connection admission index) and
-// releases them strictly in admission order, so each connection's
-// transcript is byte-identical across thread counts and shard counts.
+// releases them strictly in admission order — recording each into the
+// metrics accumulator as it goes out — so each connection's transcript
+// is byte-identical across thread counts and shard counts.
 #pragma once
 
 #include <cstddef>
@@ -21,7 +23,6 @@
 #include <string>
 #include <string_view>
 
-#include "common/stats.hpp"
 #include "net/fd.hpp"
 #include "net/frame_decoder.hpp"
 #include "service/service.hpp"
@@ -35,21 +36,6 @@ enum class ConnState {
   kDraining,   ///< saw END / fatal error / server drain; tail pending
   kClosing,    ///< tail queued; close when the write buffer empties
   kZombie,     ///< peer gone with sessions in flight; kept for accounting
-};
-
-/// Connection-scoped session metrics: the same aggregation the
-/// StreamingService keeps globally, accumulated per connection so
-/// END-time TELE frames stay deterministic under multiplexing.
-class ConnMetrics {
- public:
-  void record(const service::StreamReport& report);
-  [[nodiscard]] service::ServiceMetrics snapshot() const;
-
- private:
-  service::ServiceMetrics totals_;
-  common::QuantileTracker rec_costs_{service::kRecCostSampleCap};
-  double reward_sum_ = 0.0;
-  double speedup_sum_ = 0.0;
 };
 
 /// Transport result of a socket read or write attempt.
@@ -72,7 +58,7 @@ class Connection {
   ConnState state = ConnState::kOpen;
   FrameDecoder decoder;
 
-  /// Per-connection serve counters (same meanings as StreamServeResult).
+  /// Per-connection serve counters, summed into FrontEndStats at close.
   std::size_t requests = 0;
   std::size_t failed_sessions = 0;
   std::size_t parse_errors = 0;
@@ -84,18 +70,26 @@ class Connection {
   std::size_t overloaded_requests = 0;
   bool clean_end = false;
   bool finished = false;     ///< retired into stats; awaiting reap only
+  /// The peer shut its write side. Frames already buffered are still
+  /// served (after any pending barrier); only then is a missing END
+  /// reported.
+  bool peer_eof = false;
+  /// Stream-ending protocol ERR payload (corrupt framing, EOF without
+  /// END), queued at the tail after the replies admitted before it.
+  std::string stream_error;
 
   bool epollout = false;     ///< EPOLLOUT currently armed for this fd
   bool epollin = true;       ///< EPOLLIN currently armed for this fd
+  bool epollrdhup = true;    ///< EPOLLRDHUP currently armed for this fd
   std::uint64_t span = 0;    ///< obs span id covering accept..close
 
   /// Admission-order reply sequencing.
   std::uint64_t next_request_index = 0;  ///< assigned at REQ parse time
   std::uint64_t next_reply_index = 0;    ///< next index to release
-  std::map<std::uint64_t, std::string> pending_replies;  ///< encoded frames
+  std::map<std::uint64_t, service::StreamReport> pending_replies;
   std::size_t outstanding = 0;  ///< submitted, completion not yet seen
 
-  ConnMetrics metrics;
+  service::SessionMetrics metrics;
 
   /// Millisecond timestamp (loop clock) of the last read/write progress.
   std::int64_t last_activity_ms = 0;

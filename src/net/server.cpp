@@ -1,11 +1,18 @@
 #include "net/server.hpp"
 
+#include <poll.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstring>
+#include <exception>
+#include <functional>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -38,6 +45,18 @@ std::string strip_newline(std::string s) {
   return s;
 }
 
+/// Blocking send of the whole buffer; false once the peer stops reading.
+bool send_all(int fd, const char* data, std::size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    data += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
 // Signal routing: handlers may only touch async-signal-safe state, so the
 // handler body is one atomic load plus request_shutdown() (an atomic store
 // and an eventfd write).
@@ -63,9 +82,6 @@ FrontEnd::FrontEnd(service::ShardedStreamingService& service,
                    static_cast<std::uint16_t>(options_.tcp_port),
                    /*backlog=*/128));
     tcp_listener_ = &listeners_.back();
-  }
-  if (unix_listener_ == nullptr && tcp_listener_ == nullptr) {
-    throw std::runtime_error("front end needs at least one listener");
   }
   if (options_.http_port >= 0) {
     listeners_.push_back(
@@ -129,17 +145,18 @@ std::string FrontEnd::global_tele_payload() const {
   service::write_telemetry_payload(
       tele, service_.aggregate_metrics(), service_.build_info(),
       service_.metrics_registry(),
-      options_.serve.tele_include_nondeterministic);
+      options_.tele_include_nondeterministic);
   return strip_newline(std::move(tele).str());
 }
 
 void FrontEnd::emit_conn_tele(Connection& conn) {
-  // Connection-scoped: this connection's own session aggregates, no
-  // registry instrument lines — a pure function of ITS request sequence.
+  // Connection-scoped aggregate (a pure function of ITS request sequence
+  // and barriers), then the shared instrument set.
   std::ostringstream tele;
   service::write_telemetry_payload(
       tele, conn.metrics.snapshot(), service_.build_info(),
-      /*registry=*/nullptr, options_.serve.tele_include_nondeterministic);
+      service_.metrics_registry(),
+      options_.tele_include_nondeterministic);
   conn.queue_frame(service::FrameType::kTelemetry,
                    strip_newline(std::move(tele).str()));
   ++conn.tele_frames;
@@ -189,23 +206,32 @@ void FrontEnd::accept_ready(Listener& listener, bool is_tcp) {
       pump_writes(ref);
       continue;
     }
-    ++stats_.accepted;
-    if (obs_accepted_ != nullptr) obs_accepted_->add(1);
-    auto conn =
-        std::make_unique<Connection>(next_conn_id_++, std::move(fd), is_tcp);
-    if (auto* tracer = options_.obs.tracer) {
-      conn->span = tracer->begin_span("conn", options_.obs.trace_parent);
-    }
-    conn->queue_bytes(service::encode_stream_header());
-    conn->last_activity_ms = now_ms();
-    const std::uint64_t id = conn->id();
-    loop_.add(conn->fd(), id);
-    Connection& ref = *conns_.emplace(id, std::move(conn)).first->second;
-    if (obs_open_conns_ != nullptr) {
-      obs_open_conns_->set(static_cast<double>(conns_.size()));
-    }
-    pump_writes(ref);
+    open_conn(std::move(fd), is_tcp);
   }
+}
+
+void FrontEnd::adopt(FdGuard fd) {
+  set_nonblocking(fd.get());
+  open_conn(std::move(fd), /*is_tcp=*/false);
+}
+
+void FrontEnd::open_conn(FdGuard fd, bool is_tcp) {
+  ++stats_.accepted;
+  if (obs_accepted_ != nullptr) obs_accepted_->add(1);
+  auto conn =
+      std::make_unique<Connection>(next_conn_id_++, std::move(fd), is_tcp);
+  if (auto* tracer = options_.obs.tracer) {
+    conn->span = tracer->begin_span("conn", options_.obs.trace_parent);
+  }
+  conn->queue_bytes(service::encode_stream_header());
+  conn->last_activity_ms = now_ms();
+  const std::uint64_t id = conn->id();
+  loop_.add(conn->fd(), id);
+  Connection& ref = *conns_.emplace(id, std::move(conn)).first->second;
+  if (obs_open_conns_ != nullptr) {
+    obs_open_conns_->set(static_cast<double>(conns_.size()));
+  }
+  pump_writes(ref);
 }
 
 void FrontEnd::handle_frame(Connection& conn, service::Frame frame) {
@@ -250,8 +276,8 @@ void FrontEnd::handle_frame(Connection& conn, service::Frame frame) {
           request.decode_ns = tracer->clock().now_ns() - t_decode;
         }
       }
-      // Same typed-error contract as the istream driver: a warm request
-      // against a missing/empty index never becomes a failed session.
+      // Typed-error contract: a warm request against a missing/empty
+      // index never becomes a failed session.
       if (const auto warm_err = service_.warm_error(request)) {
         conn.queue_frame(service::FrameType::kError,
                          service::stream_error_payload(
@@ -267,11 +293,11 @@ void FrontEnd::handle_frame(Connection& conn, service::Frame frame) {
       service_.submit(
           std::move(request),
           [this, conn_id, reply_index](service::StreamReport report) {
-            {
-              std::scoped_lock lock(completions_mutex_);
-              completions_.push_back(
-                  {conn_id, reply_index, std::move(report)});
-            }
+            // Notify under the lock: once the loop has drained this
+            // completion it may return from run() and destroy the front
+            // end, so nothing here may touch it after the unlock.
+            std::scoped_lock lock(completions_mutex_);
+            completions_.push_back({conn_id, reply_index, std::move(report)});
             wake_.notify();
           });
       break;
@@ -324,35 +350,24 @@ void FrontEnd::process_frames(Connection& conn) {
     } catch (const service::WireError& e) {
       // Corrupt framing is unrecoverable on a length-prefixed stream:
       // one typed ERR, then the normal tail. Only THIS connection dies.
-      conn.queue_frame(service::FrameType::kError,
-                       service::stream_error_payload(e.what()));
-      ++conn.protocol_errors;
-      if (obs_protocol_errors_ != nullptr) obs_protocol_errors_->add(1);
-      begin_conn_drain(conn);
+      fail_stream(conn, e.what());
       return;
     }
-    if (!frame) return;
+    if (!frame) break;
     handle_frame(conn, *std::move(frame));
+  }
+  // Every complete frame the peer sent before its EOF has been served (a
+  // pending barrier re-enters here once it lifts): EOF without END is a
+  // protocol error, but the peer may be half-closed and still reading.
+  if (conn.peer_eof && conn.state == ConnState::kOpen && flush_waiters_ == 0) {
+    fail_stream(conn, conn.decoder.midstream()
+                          ? "truncated wire stream inside a frame"
+                          : "wire stream ended before the 'END' frame");
   }
 }
 
-void FrontEnd::on_stream_eof(Connection& conn) {
-  if (conn.state != ConnState::kOpen &&
-      conn.state != ConnState::kFlushWait) {
-    return;  // already draining/closing; EOF is expected
-  }
-  if (conn.state == ConnState::kFlushWait) {
-    --flush_waiters_;
-    conn.state = ConnState::kOpen;
-  }
-  // EOF without END is a protocol error, but the peer may be half-closed
-  // and still reading — emit the ERR + tail like the stream driver does.
-  conn.queue_frame(
-      service::FrameType::kError,
-      service::stream_error_payload(
-          conn.decoder.midstream()
-              ? "truncated wire stream inside a frame"
-              : "wire stream ended before the 'END' frame"));
+void FrontEnd::fail_stream(Connection& conn, const std::string& message) {
+  conn.stream_error = service::stream_error_payload(message);
   ++conn.protocol_errors;
   if (obs_protocol_errors_ != nullptr) obs_protocol_errors_->add(1);
   begin_conn_drain(conn);
@@ -376,20 +391,8 @@ void FrontEnd::drain_completions() {
       if (conn.outstanding == 0) finish_conn(conn);
       continue;
     }
-    conn.metrics.record(completion.report);
-    if (!completion.report.session.ok) ++conn.failed_sessions;
-    if (completion.report.session.timings.has_value() &&
-        options_.obs.tracer != nullptr) {
-      // Write cost via a discarded dry-run serialization (two clock reads
-      // bracketing the same encoder the real reply uses below).
-      obs::Clock& clock = options_.obs.tracer->clock();
-      const std::uint64_t t0 = clock.now_ns();
-      (void)service::stream_reply_payload(completion.report);
-      completion.report.session.timings->write_ns = clock.now_ns() - t0;
-    }
-    conn.pending_replies.emplace(
-        completion.reply_index,
-        service::stream_reply_payload(completion.report));
+    conn.pending_replies.emplace(completion.reply_index,
+                                 std::move(completion.report));
     release_replies(conn);
     pump_writes(conn);
     maybe_emit_tail(conn);
@@ -398,16 +401,30 @@ void FrontEnd::drain_completions() {
 
 void FrontEnd::release_replies(Connection& conn) {
   // Strict admission-order release: a reply that completed early waits in
-  // pending_replies until every earlier admission has been written.
+  // pending_replies until every earlier admission has been written. The
+  // metrics are recorded here too, so their float sums never depend on
+  // completion order.
   for (auto it = conn.pending_replies.find(conn.next_reply_index);
        it != conn.pending_replies.end();
        it = conn.pending_replies.find(conn.next_reply_index)) {
-    conn.queue_frame(service::FrameType::kReply, it->second);
+    service::StreamReport& report = it->second;
+    conn.metrics.record(report.session);
+    if (!report.session.ok) ++conn.failed_sessions;
+    if (report.session.timings.has_value() && options_.obs.tracer != nullptr) {
+      // Write cost via a discarded dry-run serialization (two clock reads
+      // bracketing the same encoder the real reply uses below).
+      obs::Clock& clock = options_.obs.tracer->clock();
+      const std::uint64_t t0 = clock.now_ns();
+      (void)service::stream_reply_payload(report);
+      report.session.timings->write_ns = clock.now_ns() - t0;
+    }
+    conn.queue_frame(service::FrameType::kReply,
+                     service::stream_reply_payload(report));
     conn.pending_replies.erase(it);
     ++conn.next_reply_index;
     ++conn.replies;
-    if (options_.serve.tele_every != 0 &&
-        conn.replies % options_.serve.tele_every == 0) {
+    if (options_.tele_every != 0 &&
+        conn.replies % options_.tele_every == 0) {
       emit_conn_tele(conn);
     }
   }
@@ -423,9 +440,12 @@ void FrontEnd::maybe_run_flush() {
   while (flush_waiters_ > 0 && outstanding_total_ == 0) {
     // Every callback has been processed, so every shard's in-flight count
     // is zero: flush() will not block.
-    (void)service_.flush_all();
+    std::vector<Connection*> waiters;
     for (auto& [id, conn] : conns_) {
-      if (conn->state != ConnState::kFlushWait) continue;
+      if (conn->state == ConnState::kFlushWait) waiters.push_back(conn.get());
+    }
+    flush_for(waiters);
+    for (Connection* conn : waiters) {
       conn->state = ConnState::kOpen;
       maybe_emit_tser(*conn);
       emit_conn_tele(*conn);
@@ -434,6 +454,13 @@ void FrontEnd::maybe_run_flush() {
     flush_waiters_ = 0;
     resume_admissions();
   }
+}
+
+void FrontEnd::flush_for(const std::vector<Connection*>& waiters) {
+  const service::ServiceMetrics before = service_.aggregate_metrics();
+  (void)service_.flush_all();
+  const service::ServiceMetrics after = service_.aggregate_metrics();
+  for (Connection* conn : waiters) conn->metrics.record_barrier(before, after);
 }
 
 void FrontEnd::resume_admissions() {
@@ -458,20 +485,23 @@ void FrontEnd::maybe_emit_tail(Connection& conn) {
   if (conn.state != ConnState::kDraining) return;
   if (conn.outstanding != 0 || !conn.pending_replies.empty()) return;
   if (options_.flush_on_end) {
-    // Legacy single-connection tail: a global barrier before the final
+    // Single-connection tail: a global barrier before the final
     // telemetry. Deferred until the service quiesces, like FLSH.
     if (outstanding_total_ != 0) return;
-    (void)service_.flush_all();
+    flush_for({&conn});
+  }
+  if (!conn.stream_error.empty()) {
+    conn.queue_frame(service::FrameType::kError, conn.stream_error);
   }
   maybe_emit_tser(conn);
   emit_conn_tele(conn);
-  if (options_.serve.metr_compat) {
-    std::ostringstream metrics;
-    service::write_metrics_jsonl(metrics, conn.metrics.snapshot(),
-                                 service_.build_info());
-    conn.queue_frame(service::FrameType::kMetrics,
-                     strip_newline(std::move(metrics).str()));
-  }
+  // The deprecated METR frame still precedes END so wire-v1 readers find
+  // their flat keys.
+  std::ostringstream metrics;
+  service::write_metrics_jsonl(metrics, conn.metrics.snapshot(),
+                               service_.build_info());
+  conn.queue_frame(service::FrameType::kMetrics,
+                   strip_newline(std::move(metrics).str()));
   conn.queue_frame(service::FrameType::kEnd, "");
   conn.state = ConnState::kClosing;
   pump_writes(conn);
@@ -554,21 +584,26 @@ bool FrontEnd::wants_read(const Connection& conn) const noexcept {
   // barrier and once a connection leaves kOpen (draining, closing), bytes
   // would pile up undecoded — kMaxFramePayload bounds one frame, not the
   // backlog — so leave them in the kernel socket buffer: that is bounded
-  // backpressure the peer's send() feels. EPOLLRDHUP stays armed, so
-  // hangups are still delivered to a read-paused connection.
-  return conn.state == ConnState::kOpen && flush_waiters_ == 0;
+  // backpressure the peer's send() feels. EPOLLRDHUP stays armed until
+  // the peer's EOF is read, so hangups still reach a read-paused
+  // connection.
+  return conn.state == ConnState::kOpen && flush_waiters_ == 0 &&
+         !conn.peer_eof;
 }
 
 void FrontEnd::update_interest(Connection& conn) {
   const bool want_write = conn.write_pending();
   const bool want_read = wants_read(conn);
+  const bool want_rdhup = !conn.peer_eof;
   if (conn.fd() < 0 ||
-      (want_write == conn.epollout && want_read == conn.epollin)) {
+      (want_write == conn.epollout && want_read == conn.epollin &&
+       want_rdhup == conn.epollrdhup)) {
     return;
   }
-  loop_.modify(conn.fd(), conn.id(), want_write, want_read);
+  loop_.modify(conn.fd(), conn.id(), want_write, want_read, want_rdhup);
   conn.epollout = want_write;
   conn.epollin = want_read;
+  conn.epollrdhup = want_rdhup;
 }
 
 void FrontEnd::pump_writes(Connection& conn) {
@@ -794,15 +829,19 @@ void FrontEnd::handle_conn_event(Connection& conn, const Event& event) {
     return;
   }
   if (event.readable || event.hangup) {
+    if (conn.peer_eof) {
+      // Reads and EPOLLRDHUP are disarmed once EOF has been read, so this
+      // is EPOLLHUP: the peer closed both directions and reads nothing.
+      make_zombie(conn);
+      return;
+    }
     const IoStatus status = conn.read_some();
     if (status == IoStatus::kOk) conn.last_activity_ms = now_ms();
+    if (status == IoStatus::kEof) conn.peer_eof = true;
     process_frames(conn);
     pump_writes(conn);
     if (conn.state == ConnState::kZombie) return;
-    if (status == IoStatus::kEof) {
-      on_stream_eof(conn);
-      pump_writes(conn);
-    } else if (status == IoStatus::kError) {
+    if (status == IoStatus::kError) {
       make_zombie(conn);
       return;
     }
@@ -859,8 +898,8 @@ FrontEndStats FrontEnd::run() {
     maybe_run_flush();
     if (admissions_paused_ && flush_waiters_ == 0) {
       // The pause can also end without a merge — the last waiter hung up
-      // (on_stream_eof/make_zombie decrement) or a server drain reset the
-      // barrier. Re-pump and re-arm reads, or paused conns stall forever.
+      // (make_zombie decrement) or a server drain reset the barrier.
+      // Re-pump and re-arm reads, or paused conns stall forever.
       admissions_paused_ = false;
       resume_admissions();
     }
@@ -879,6 +918,130 @@ FrontEndStats FrontEnd::run() {
   // checkpoints after a drain reflect every admitted session.
   (void)service_.flush_all();
   return stats_;
+}
+
+namespace {
+
+/// Forwards `in_fd` into `fd` until the input ends or `stop_fd` turns
+/// readable (the stream is over, whether or not the input is).
+void pump_fd(int in_fd, int fd, int stop_fd) {
+  char buf[64 * 1024];
+  for (;;) {
+    pollfd fds[2] = {{in_fd, POLLIN, 0}, {stop_fd, POLLIN, 0}};
+    if (::poll(fds, 2, -1) < 0) {
+      if (errno == EINTR) continue;
+      throw std::runtime_error(std::string("poll(): ") + std::strerror(errno));
+    }
+    // A closed descriptor reads as an empty stream.
+    if (fds[1].revents != 0 || (fds[0].revents & POLLNVAL) != 0) return;
+    const ssize_t n = ::read(in_fd, buf, sizeof buf);
+    if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
+    if (n < 0) {
+      throw std::runtime_error(std::string("read(): ") + std::strerror(errno));
+    }
+    if (n == 0 || !send_all(fd, buf, static_cast<std::size_t>(n))) return;
+  }
+}
+
+/// Runs a single-connection front end over a socketpair: the server end
+/// is adopted, `pump_input(fd, stop_fd)` feeds the client end on one
+/// thread, and a second thread copies the server's bytes to `out`.
+FrontEndStats serve_adopted(
+    service::ShardedStreamingService& service, std::ostream& out,
+    FrontEndOptions options,
+    const std::function<void(int fd, int stop_fd)>& pump_input) {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    throw std::runtime_error(std::string("socketpair(): ") +
+                             std::strerror(errno));
+  }
+  FdGuard server_end(fds[0]);
+  const FdGuard client_end(fds[1]);
+  WakeFd stop;
+  options.unix_path.clear();
+  options.tcp_port = -1;
+  options.http_port = -1;
+  options.exit_after_connections = 1;
+  options.flush_on_end = true;
+  FrontEnd front_end(service, std::move(options));
+  front_end.adopt(std::move(server_end));
+
+  const int fd = client_end.get();
+  // A pump that throws records the failure and shuts the client end, so
+  // the loop sees the peer go away instead of waiting on it forever.
+  std::exception_ptr input_failure;
+  std::exception_ptr output_failure;
+  std::thread input([&pump_input, &input_failure, &stop, fd] {
+    try {
+      pump_input(fd, stop.fd());
+    } catch (...) {
+      input_failure = std::current_exception();
+    }
+    (void)::shutdown(fd, SHUT_WR);
+  });
+
+  FrontEndStats stats;
+  std::exception_ptr failure;
+  std::thread output;
+  try {
+    output = std::thread([&out, &output_failure, fd] {
+      try {
+        char buf[64 * 1024];
+        for (;;) {
+          const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+          if (n < 0 && errno == EINTR) continue;
+          if (n <= 0) break;  // the server closed (a reset after unread input)
+          out.write(buf, n);
+          out.flush();
+        }
+      } catch (...) {
+        output_failure = std::current_exception();
+        (void)::shutdown(fd, SHUT_RDWR);
+      }
+    });
+    stats = front_end.run();
+  } catch (...) {
+    failure = std::current_exception();
+    (void)::shutdown(fd, SHUT_RDWR);  // unblocks both pumps
+  }
+  // The stream is over: input still pending (an open terminal, bytes
+  // after END) is never read, and a blocked send fails.
+  stop.notify();
+  (void)::shutdown(fd, SHUT_WR);
+  if (output.joinable()) output.join();
+  input.join();
+  if (!failure) failure = output_failure ? output_failure : input_failure;
+  if (failure) std::rethrow_exception(failure);
+  return stats;
+}
+
+}  // namespace
+
+FrontEndStats serve_stream(service::ShardedStreamingService& service,
+                           std::istream& in, std::ostream& out,
+                           FrontEndOptions options) {
+  return serve_adopted(service, out, std::move(options),
+                       [&in](int fd, int /*stop_fd*/) {
+                         char buf[64 * 1024];
+                         while (in) {
+                           in.read(buf, sizeof buf);
+                           const std::streamsize n = in.gcount();
+                           if (n <= 0 ||
+                               !send_all(fd, buf,
+                                         static_cast<std::size_t>(n))) {
+                             break;
+                           }
+                         }
+                       });
+}
+
+FrontEndStats serve_stream(service::ShardedStreamingService& service,
+                           int in_fd, std::ostream& out,
+                           FrontEndOptions options) {
+  return serve_adopted(service, out, std::move(options),
+                       [in_fd](int fd, int stop_fd) {
+                         pump_fd(in_fd, fd, stop_fd);
+                       });
 }
 
 }  // namespace deepcat::net

@@ -25,7 +25,14 @@
 //     thread itself never blocks in flush(). While paused (and once a
 //     connection is past kOpen), EPOLLIN is deasserted so inbound bytes
 //     back up in the kernel socket buffer instead of growing the decoder
-//     backlog without bound; EPOLLRDHUP stays armed for hangups.
+//     backlog without bound; EPOLLRDHUP stays armed for hangups until
+//     the peer's EOF has been read.
+//   - End of input: a peer that half-closes still gets every complete
+//     frame it sent served — behind a pending barrier if need be — before
+//     a missing END is reported. Stream-ending protocol ERRs (corrupt
+//     framing, EOF without END) are queued at the tail, after the replies
+//     of every request admitted before them; per-request ERRs (bad
+//     payload, warm precheck, in-flight cap) go out immediately.
 //   - Graceful drain (SIGTERM/SIGINT or request_shutdown()): stop
 //     accepting, let in-flight sessions finish and their replies go out,
 //     run one final flush_all(), then emit each connection's TELE(+METR)
@@ -34,16 +41,26 @@
 //     never silent).
 //
 // TELE scoping: FLSH- and END-tail TELE frames carry the CONNECTION's
-// session aggregates (deterministic per connection; no registry
-// instrument lines); STAT answers carry the live GLOBAL cross-shard
-// aggregate plus the instrument set — that is what `deepcat stats` polls.
+// session aggregates, recorded in admission order (deterministic per
+// connection), plus the merge counters of the barriers it waited on, then
+// the registry instrument lines. STAT answers carry the live GLOBAL
+// cross-shard aggregate plus the instrument set — that is what
+// `deepcat stats` polls. Its p50/p95 come from the merged fixed-edge
+// histogram (ShardedStreamingService::aggregate_metrics), so they are
+// bucket quantiles, not the exact per-connection ones.
+//
+// Streams that are not sockets (stdin/stdout, files, in-memory buffers)
+// are served by serve_stream() below as one adopted connection of a
+// single-connection front end.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <istream>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -78,16 +95,20 @@ struct FrontEndOptions {
   /// (0 = never).
   double idle_timeout_seconds = 0.0;
   /// Exit run() once this many connections have been served to
-  /// completion (0 = run until shutdown). The legacy `serve --socket`
-  /// contract is exit_after_connections = 1.
+  /// completion (0 = run until shutdown). The single-connection
+  /// `serve --socket` and serve_stream() contract is 1.
   std::size_t exit_after_connections = 0;
   /// Run a global flush barrier when a connection ends its stream (the
-  /// legacy single-connection tail). Off by default under multiplexing:
-  /// merges then happen only at explicit FLSH barriers and at drain, so
-  /// one connection's END cannot reshuffle another's epochs.
+  /// single-connection tail). Off by default under multiplexing: merges
+  /// then happen only at explicit FLSH barriers and at drain, so one
+  /// connection's END cannot reshuffle another's epochs.
   bool flush_on_end = false;
-  /// TELE cadence / payload / METR-compat knobs, as in serve_frame_stream.
-  service::StreamServeOptions serve;
+  /// Also emit a TELE frame after every Nth REP (0 = only at the
+  /// protocol-mandated points: FLSH boundaries, STAT polls, before END).
+  std::size_t tele_every = 0;
+  /// false = byte-stable TELE payloads (deterministic instruments and
+  /// integer aggregates only); the CLI sets this for --clock logical.
+  bool tele_include_nondeterministic = true;
   obs::Sink obs;
 };
 
@@ -114,8 +135,13 @@ struct FrontEndStats {
 class FrontEnd {
  public:
   /// Binds all configured listeners (throws on failure, nothing leaks —
-  /// the Listener guards own fds and socket files).
+  /// the Listener guards own fds and socket files). With none configured
+  /// the front end serves only connections handed to adopt().
   FrontEnd(service::ShardedStreamingService& service, FrontEndOptions options);
+
+  /// Serves an already-connected stream socket as if it had just been
+  /// accepted (counts toward exit_after_connections). Call before run().
+  void adopt(FdGuard fd);
 
   /// Actual TCP port (resolves a port-0 request); 0 when TCP is off.
   [[nodiscard]] std::uint16_t tcp_port() const noexcept;
@@ -143,10 +169,11 @@ class FrontEnd {
   };
 
   void accept_ready(Listener& listener, bool is_tcp);
+  void open_conn(FdGuard fd, bool is_tcp);
   void handle_conn_event(Connection& conn, const Event& event);
   void process_frames(Connection& conn);
   void handle_frame(Connection& conn, service::Frame frame);
-  void on_stream_eof(Connection& conn);
+  void fail_stream(Connection& conn, const std::string& message);
   void drain_completions();
   void release_replies(Connection& conn);
   void maybe_run_flush();
@@ -171,6 +198,8 @@ class FrontEnd {
   [[nodiscard]] bool wants_read(const Connection& conn) const noexcept;
   [[nodiscard]] bool accepting() const noexcept;
   [[nodiscard]] std::string global_tele_payload() const;
+  /// flush_all() that credits the merge counters it moved to `waiters`.
+  void flush_for(const std::vector<Connection*>& waiters);
 
   service::ShardedStreamingService& service_;
   FrontEndOptions options_;
@@ -216,5 +245,24 @@ class FrontEnd {
   obs::Counter* obs_protocol_errors_ = nullptr;
   obs::Gauge* obs_open_conns_ = nullptr;
 };
+
+/// Serves one DCWP stream read from `in`, writing the server's bytes to
+/// `out`: the stream becomes the single adopted connection of a FrontEnd
+/// over a socketpair (exit_after_connections = 1, flush_on_end; the
+/// listener fields of `options` are ignored). Two threads pump input and
+/// output, so a regular file works (epoll rejects those) and backpressure
+/// on one side cannot deadlock the other. Returns once the connection is
+/// done. `in` is read in 64 KiB blocks, so it suits streams that never
+/// wait for a producer (in-memory buffers, files).
+FrontEndStats serve_stream(service::ShardedStreamingService& service,
+                           std::istream& in, std::ostream& out,
+                           FrontEndOptions options = {});
+
+/// The same for a file descriptor (stdin, a pipe, a file): bytes are
+/// forwarded as soon as read() returns them, and the pump stops when the
+/// stream ends even if `in_fd` stays open. `in_fd` is not closed.
+FrontEndStats serve_stream(service::ShardedStreamingService& service,
+                           int in_fd, std::ostream& out,
+                           FrontEndOptions options = {});
 
 }  // namespace deepcat::net

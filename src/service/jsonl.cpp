@@ -247,7 +247,7 @@ void write_report_body(std::ostream& os, const SessionReport& r,
     os << ",\"trace\":\"" << json_escape(r.trace_id)
        << "\",\"span\":" << r.server_span;
   }
-  // Gated per-stage timing block (StreamServeOptions.reply_timings).
+  // Gated per-stage timing block (StreamingOptions.reply_timings).
   if (r.timings.has_value()) {
     os << ",\"t_decode_ns\":" << r.timings->decode_ns
        << ",\"t_queue_ns\":" << r.timings->queue_ns

@@ -66,7 +66,7 @@ void write_metrics_jsonl(std::ostream& os, const ServiceMetrics& m);
 /// old readers still accept the extended frame. The batch driver keeps
 /// the unlabelled writer so its output diffs clean across --threads and
 /// numeric backends. Deprecated in wire v2 in favor of the TELE payload
-/// (write_telemetry_payload); still emitted by default for v1 readers.
+/// (write_telemetry_payload); still emitted for v1 readers.
 void write_metrics_jsonl(std::ostream& os, const ServiceMetrics& m,
                          const obs::BuildInfo& build);
 

@@ -3,24 +3,10 @@
 #include <algorithm>
 #include <charconv>
 #include <filesystem>
-#include <fstream>
-#include <mutex>
-#include <sstream>
 
-#include "rl/replay_rdper.hpp"
 #include "service/checkpoint.hpp"
-#include "sparksim/hardware.hpp"
 
 namespace deepcat::service {
-
-namespace {
-
-sparksim::ClusterSpec service_cluster(const std::string& tag) {
-  if (tag == "b" || tag == "B") return sparksim::cluster_b();
-  return sparksim::cluster_a();
-}
-
-}  // namespace
 
 // ---- ModelRegistry ------------------------------------------------------
 
@@ -71,121 +57,48 @@ void ModelRegistry::load_into(const std::string& name, std::uint32_t version,
   load_checkpoint_file(path_for(name, version), model);
 }
 
-// ---- TuningService ------------------------------------------------------
+// ---- SessionMetrics -----------------------------------------------------
 
-TuningService::TuningService(ServiceOptions options)
-    : options_((options.api.tuner.obs = options.obs, std::move(options))),
-      master_(service_cluster(options_.cluster), options_.api),
-      pool_(options_.threads) {}
-
-void TuningService::train_master(const sparksim::WorkloadSpec& workload,
-                                 std::size_t iterations) {
-  std::unique_lock lock(master_mutex_);
-  (void)master_.train_offline(workload, iterations);
+SessionMetrics::SessionMetrics() {
+  totals_.rec_buckets.assign(rec_cost_bucket_edges().size() + 1, 0);
 }
 
-void TuningService::load_master(std::istream& is) {
-  std::unique_lock lock(master_mutex_);
-  load_checkpoint(is, master_);
-}
-
-void TuningService::load_master_file(const std::string& path) {
-  std::unique_lock lock(master_mutex_);
-  load_checkpoint_file(path, master_);
-}
-
-void TuningService::save_master(std::ostream& os) {
-  std::shared_lock lock(master_mutex_);
-  save_checkpoint(os, master_);
-}
-
-void TuningService::save_master_file(const std::string& path) {
-  std::shared_lock lock(master_mutex_);
-  save_checkpoint_file(path, master_);
-}
-
-std::vector<SessionReport> TuningService::run_batch(
-    const std::vector<TuningRequest>& requests) {
-  const auto batch_span = options_.obs.scope("batch");
-  if (options_.obs.metrics != nullptr) {
-    options_.obs.metrics->counter("batch.runs").add(1);
-    options_.obs.metrics->counter("batch.requests").add(requests.size());
+void SessionMetrics::record(const SessionReport& report) {
+  if (!report.ok) {
+    ++totals_.sessions_failed;
+    return;
   }
-
-  // Serialize the master once; every session clones from this blob, so the
-  // expensive network serialization is paid once per batch, not per
-  // session, and all sessions see the identical frozen state.
-  std::string blob;
-  const rl::RdperReplay* master_pools = nullptr;
-  {
-    std::shared_lock lock(master_mutex_);
-    blob = checkpoint_to_string(master_);
-    master_pools =
-        dynamic_cast<const rl::RdperReplay*>(master_.tuner().replay());
-  }
-
-  // Session spans (and the tuner spans under them) parent on the batch
-  // span; the api copy carries the parent id across the pool threads.
-  core::DeepCatApiOptions session_api = options_.api;
-  std::vector<SessionReport> reports =
-      common::parallel_map(pool_, requests.size(), [&](std::size_t i) {
-        const auto session_span = options_.obs.with_parent(batch_span.id())
-                                      .scope("session");
-        core::DeepCatApiOptions api = session_api;
-        api.tuner.obs.trace_parent = session_span.id();
-        return run_session(blob, api, requests[i], master_pools,
-                           &master_mutex_);
-      });
-
-  // Cross-request memory sharing (paper §3.3): fold every session's fresh
-  // experience into the master pools, in request order so the merged state
-  // is independent of scheduling. The exclusive lock pairs with the shared
-  // locks in save_master and SharedRdperReplay::sample.
-  std::size_t merged = 0;
-  {
-    const auto merge_span =
-        options_.obs.with_parent(batch_span.id()).scope("merge");
-    std::unique_lock lock(master_mutex_);
-    rl::ReplayBuffer* replay = master_.tuner().replay();
-    if (replay != nullptr) {
-      for (const auto& r : reports) {
-        for (const auto& t : r.new_transitions) {
-          replay->add(t);
-          ++merged;
-        }
-      }
-    }
-  }
-  if (options_.obs.metrics != nullptr && merged > 0) {
-    options_.obs.metrics->counter("batch.merged_transitions").add(merged);
-  }
-
-  {
-    std::scoped_lock lock(metrics_mutex_);
-    if (merged > 0) {
-      ++totals_.merges;
-      totals_.merged_transitions += merged;
-    }
-    for (const auto& r : reports) {
-      if (!r.ok) {
-        ++totals_.sessions_failed;
-        continue;
-      }
-      ++totals_.sessions_served;
-      totals_.evaluations_paid += r.report.steps.size();
-      totals_.evaluation_seconds += r.report.total_evaluation_seconds();
-      const double rec = r.report.total_recommendation_seconds();
-      totals_.recommendation_seconds += rec;
-      rec_costs_.add(rec);
-      reward_sum_ += r.mean_reward();
-      speedup_sum_ += r.report.speedup_over_default();
-    }
-  }
-  return reports;
+  ++totals_.sessions_served;
+  totals_.evaluations_paid += report.report.steps.size();
+  totals_.evaluation_seconds += report.report.total_evaluation_seconds();
+  const double rec = report.report.total_recommendation_seconds();
+  totals_.recommendation_seconds += rec;
+  rec_costs_.add(rec);
+  // Exact bucket counts for cross-shard percentile merges: bucket i
+  // counts rec <= edges[i] (first match), mirroring obs::Histogram.
+  const std::vector<double>& edges = rec_cost_bucket_edges();
+  const auto it = std::lower_bound(edges.begin(), edges.end(), rec);
+  ++totals_.rec_buckets[static_cast<std::size_t>(it - edges.begin())];
+  reward_sum_ += report.mean_reward();
+  speedup_sum_ += report.report.speedup_over_default();
 }
 
-ServiceMetrics TuningService::metrics() const {
-  std::scoped_lock lock(metrics_mutex_);
+void SessionMetrics::record_merge(std::size_t transitions,
+                                  std::size_t fine_tune_steps) {
+  ++totals_.merges;
+  totals_.merged_transitions += transitions;
+  totals_.fine_tune_steps += fine_tune_steps;
+}
+
+void SessionMetrics::record_barrier(const ServiceMetrics& before,
+                                    const ServiceMetrics& after) {
+  totals_.merges += after.merges - before.merges;
+  totals_.merged_transitions +=
+      after.merged_transitions - before.merged_transitions;
+  totals_.fine_tune_steps += after.fine_tune_steps - before.fine_tune_steps;
+}
+
+ServiceMetrics SessionMetrics::snapshot() const {
   ServiceMetrics m = totals_;
   if (m.sessions_served > 0) {
     m.p50_recommendation_seconds = rec_costs_.quantile(0.50);

@@ -1,22 +1,17 @@
-// TuningService: the serving layer over the DeepCAT library. Owns one
-// shared offline-trained master model, runs batches of tuning sessions
-// concurrently on the common::ThreadPool, merges session experience back
-// into the master RDPER pools (the paper's cross-request memory sharing),
-// and tracks aggregate serving metrics. ModelRegistry persists named,
-// versioned checkpoints on disk so a service restart resumes from the
-// newest published model instead of retraining.
+// Shared serving vocabulary: the options every serving path configures,
+// the aggregate serving metrics and the one accumulator that builds them
+// (SessionMetrics), and ModelRegistry, which persists named, versioned
+// checkpoints on disk so a service restart resumes from the newest
+// published model instead of retraining. The serving engine itself is
+// StreamingService (streaming.hpp) behind net::FrontEnd (net/server.hpp).
 #pragma once
 
 #include <cstdint>
-#include <istream>
 #include <optional>
-#include <ostream>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 #include "core/deepcat_api.hpp"
 #include "obs/sink.hpp"
 #include "service/session.hpp"
@@ -50,8 +45,8 @@ struct ServiceOptions {
   obs::Sink obs{};
 };
 
-/// Aggregate serving metrics across every batch run so far. Percentiles
-/// are over per-session recommendation cost (the deterministic cost model,
+/// Aggregate serving metrics over a set of sessions. Percentiles are over
+/// per-session recommendation cost (the deterministic cost model,
 /// tuners/tuner.hpp rec_cost) — the serving-latency proxy of this repo.
 struct ServiceMetrics {
   std::size_t sessions_served = 0;  ///< successfully completed sessions
@@ -72,6 +67,33 @@ struct ServiceMetrics {
   /// METR/TELE, so transcripts are unchanged. Empty when the service
   /// predates the field (aggregators treat empty as all-zero).
   std::vector<std::uint64_t> rec_buckets;
+};
+
+/// The one session-metrics accumulator: the service totals, every
+/// connection's TELE/METR aggregate and the batch METR line are all built
+/// by it. The float sums depend on the order sessions are recorded in, so
+/// callers whose output bytes must be deterministic feed it in a fixed
+/// order (admission order per connection, request order per batch).
+class SessionMetrics {
+ public:
+  SessionMetrics();
+
+  /// Counts one finished session (failed sessions only bump `failed`).
+  void record(const SessionReport& report);
+  /// Counts one experience merge into a master.
+  void record_merge(std::size_t transitions, std::size_t fine_tune_steps);
+  /// Adds the merge counters a barrier moved: `after` minus `before`, two
+  /// service snapshots taken around the flush the caller waited on.
+  void record_barrier(const ServiceMetrics& before,
+                      const ServiceMetrics& after);
+  [[nodiscard]] ServiceMetrics snapshot() const;
+
+ private:
+  ServiceMetrics totals_;
+  /// Exact quantiles up to kRecCostSampleCap sessions, bounded beyond.
+  common::QuantileTracker rec_costs_{kRecCostSampleCap};
+  double speedup_sum_ = 0.0;
+  double reward_sum_ = 0.0;
 };
 
 /// Named, versioned checkpoint store on disk: `<dir>/<name>.v<N>.dckp`.
@@ -99,54 +121,6 @@ class ModelRegistry {
 
  private:
   std::string dir_;
-};
-
-class TuningService {
- public:
-  explicit TuningService(ServiceOptions options = {});
-
-  [[nodiscard]] core::DeepCat& master() noexcept { return master_; }
-  [[nodiscard]] const ServiceOptions& options() const noexcept {
-    return options_;
-  }
-
-  /// Offline-trains the master model (paper's train-once stage).
-  void train_master(const sparksim::WorkloadSpec& workload,
-                    std::size_t iterations);
-
-  /// Master checkpoint I/O. save_master takes the shared master lock, so a
-  /// checkpoint written while a batch is in flight is always a consistent
-  /// snapshot — never a torn read of half-merged pools.
-  void load_master(std::istream& is);
-  void load_master_file(const std::string& path);
-  void save_master(std::ostream& os);
-  void save_master_file(const std::string& path);
-
-  /// Serves a batch of tuning requests concurrently. The master model is
-  /// frozen while sessions run (each session clones it from one shared
-  /// checkpoint blob), then every session's experience is merged into the
-  /// master pools in request order. Reports come back in request order and
-  /// are identical for any `threads` setting.
-  std::vector<SessionReport> run_batch(
-      const std::vector<TuningRequest>& requests);
-
-  [[nodiscard]] ServiceMetrics metrics() const;
-
- private:
-  ServiceOptions options_;
-  core::DeepCat master_;
-  common::ThreadPool pool_;
-  /// Guards the master model + pools: sessions and save_master take shared
-  /// locks; the post-batch merge takes an exclusive lock.
-  mutable std::shared_mutex master_mutex_;
-  mutable std::mutex metrics_mutex_;
-  /// Streaming-safe percentile state over per-session recommendation cost;
-  /// metrics() reads exact quantiles without re-sorting a history vector.
-  /// Bounded so long-lived services stay O(kRecCostSampleCap).
-  common::QuantileTracker rec_costs_{kRecCostSampleCap};
-  ServiceMetrics totals_;
-  double speedup_sum_ = 0.0;
-  double reward_sum_ = 0.0;
 };
 
 }  // namespace deepcat::service

@@ -10,12 +10,12 @@
 //     SharedRdperReplay view under a shared mutex instead of copying them;
 //   - write-back on completion: the transitions a session generates are
 //     returned in its report and merged into the master pools by the
-//     service after the whole batch finishes, in request order — the
-//     paper's cross-request memory sharing, kept deterministic.
+//     service at the next flush barrier, in canonical order — the paper's
+//     cross-request memory sharing, kept deterministic.
 //
-// Because the master is frozen for the duration of a batch, a session's
-// result is a pure function of (master checkpoint, request), independent
-// of pool size and of which other sessions run beside it.
+// Because the master is frozen between flush barriers, a session's result
+// is a pure function of (master checkpoint, request), independent of pool
+// size and of which other sessions run beside it.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +49,8 @@ struct TuningRequest {
   int max_steps = 5;          ///< paid online evaluations
   double max_total_seconds = 1e18;  ///< tuning-time budget (paper §2)
   std::uint64_t seed = 1;     ///< per-session determinism seed
-  /// Named master model to serve against (streaming multi-model routing;
-  /// the batch service serves everything from its single master).
+  /// Named master model to serve against (multi-model routing; the
+  /// `serve --requests` batch stamps its --model on every request).
   std::string model = "default";
   /// Warm-start: number of experience-index neighbours requested (wire
   /// "warm" field; 0 = cold request, the default). The service resolves
@@ -118,7 +118,7 @@ struct TuningRequest {
 
 /// Per-stage server-side timings for one traced request (clock ns; tick
 /// counts under LogicalClock). Emitted in the REP only when the serve
-/// path opts in (StreamServeOptions.reply_timings) — tick deltas depend
+/// path opts in (StreamingOptions.reply_timings) — tick deltas depend
 /// on global clock interleaving, so determinism suites keep them off.
 struct StageTimings {
   std::uint64_t decode_ns = 0;   ///< REQ payload parse
@@ -129,7 +129,7 @@ struct StageTimings {
 };
 
 /// Outcome of one session. `new_transitions` carries the experience the
-/// session generated, in insertion order, for the service's post-batch
+/// session generated, in insertion order, for the service's flush-time
 /// merge into the master pools.
 struct SessionReport {
   std::string id;

@@ -9,7 +9,6 @@
 #include "rl/replay_rdper.hpp"
 #include "service/checkpoint.hpp"
 #include "service/jsonl.hpp"
-#include "service/wire.hpp"
 #include "sparksim/hardware.hpp"
 #include "sparksim/workloads.hpp"
 
@@ -439,8 +438,8 @@ void StreamingService::on_complete(MasterEntry& entry,
   {
     std::scoped_lock state(state_mutex_);
     if (report.ok && !report.new_transitions.empty()) {
-      entry.pending.push_back(
-          {request.id, request.seed, request.workload, report.new_transitions});
+      entry.pending.push_back({request.id, request.seed, request.workload,
+                               sequence, report.new_transitions});
     }
     record_metrics_locked(report, scoped_model_key(request));
     if (report.timings && tracer != nullptr) {
@@ -472,32 +471,19 @@ std::size_t StreamingService::in_flight() const {
 
 void StreamingService::record_metrics_locked(const SessionReport& report,
                                              const std::string& key) {
+  totals_.record(report);
   if (!report.ok) {
-    ++totals_.sessions_failed;
     if (obs_sessions_failed_ != nullptr) obs_sessions_failed_->add(1);
     return;
   }
-  ++totals_.sessions_served;
   if (obs_sessions_ok_ != nullptr) obs_sessions_ok_->add(1);
-  totals_.evaluations_paid += report.report.steps.size();
-  totals_.evaluation_seconds += report.report.total_evaluation_seconds();
-  const double rec = report.report.total_recommendation_seconds();
-  totals_.recommendation_seconds += rec;
-  rec_costs_.add(rec);
-  if (obs_rec_seconds_ != nullptr) obs_rec_seconds_->observe(rec);
-  {
-    // Exact bucket counts for cross-shard percentile merges: bucket i
-    // counts rec <= edges[i] (first match), mirroring obs::Histogram.
-    const std::vector<double>& edges = rec_cost_bucket_edges();
-    const auto it = std::lower_bound(edges.begin(), edges.end(), rec);
-    ++rec_bucket_counts_[static_cast<std::size_t>(it - edges.begin())];
+  if (obs_rec_seconds_ != nullptr) {
+    obs_rec_seconds_->observe(report.report.total_recommendation_seconds());
   }
-  reward_sum_ += report.mean_reward();
-  speedup_sum_ += report.report.speedup_over_default();
   if (auto* series = options_.service.obs.series) {
     // Convergence history (state lock held, so appends are ordered):
     // per-evaluation recommendation cost, running best session reward per
-    // model key, and PR 9 shift-recovery outcomes (-1 = never recovered).
+    // model key, and shift-recovery outcomes (-1 = never recovered).
     for (const auto& step : report.report.steps) {
       series->append("stream.rec_cost", step.recommendation_seconds);
     }
@@ -538,11 +524,11 @@ std::optional<StreamReport> StreamingService::wait_completed() {
 std::size_t StreamingService::merge_entry_locked(MasterEntry& entry) {
   if (entry.pending.empty()) return 0;
   const auto merge_span = options_.service.obs.scope("merge");
-  ++totals_.merges;
   if (obs_merges_ != nullptr) obs_merges_->add(1);
   if (entry.stub) {
     // No real master behind a test-runner entry; the epoch still advances
     // so transcripts exercise the model-epoch contract.
+    totals_.record_merge(0, 0);
     entry.pending.clear();
     ++entry.epoch;
     entry.blob.reset();
@@ -550,12 +536,15 @@ std::size_t StreamingService::merge_entry_locked(MasterEntry& entry) {
   }
   // Canonical merge order — ascending (id, seed, workload), never arrival
   // order — makes the merged master a pure function of the request set.
+  // Admission order breaks ties, so equal keys from one submitter (a
+  // batch) merge identically for any thread count.
   std::sort(entry.pending.begin(), entry.pending.end(),
             [](const PendingExperience& a, const PendingExperience& b) {
-              return std::tie(a.id, a.seed, a.workload) <
-                     std::tie(b.id, b.seed, b.workload);
+              return std::tie(a.id, a.seed, a.workload, a.sequence) <
+                     std::tie(b.id, b.seed, b.workload, b.sequence);
             });
   std::size_t merged = 0;
+  std::size_t tuned = 0;
   {
     std::unique_lock master(entry.mutex);
     rl::ReplayBuffer* replay = entry.model.tuner().replay();
@@ -570,14 +559,13 @@ std::size_t StreamingService::merge_entry_locked(MasterEntry& entry) {
           entry.model.tuner().has_agent()) {
         // Continuous master update: bounded fine-tune on the refreshed
         // pools, driven by the master's own checkpointed RNG stream.
-        const std::size_t tuned = entry.model.tuner().agent().fine_tune(
+        tuned = entry.model.tuner().agent().fine_tune(
             *replay, entry.model.tuner().rng(), options_.master_update_steps);
-        totals_.fine_tune_steps += tuned;
         if (obs_fine_tune_steps_ != nullptr) obs_fine_tune_steps_->add(tuned);
       }
     }
   }
-  totals_.merged_transitions += merged;
+  totals_.record_merge(merged, tuned);
   if (obs_merged_transitions_ != nullptr) {
     obs_merged_transitions_->add(merged);
   }
@@ -626,19 +614,34 @@ obs::BuildInfo StreamingService::build_info() const {
 
 ServiceMetrics StreamingService::metrics() const {
   std::scoped_lock state(state_mutex_);
-  ServiceMetrics m = totals_;
-  m.rec_buckets = rec_bucket_counts_;
-  if (m.sessions_served > 0) {
-    m.p50_recommendation_seconds = rec_costs_.quantile(0.50);
-    m.p95_recommendation_seconds = rec_costs_.quantile(0.95);
-    m.mean_session_reward =
-        reward_sum_ / static_cast<double>(m.sessions_served);
-    m.mean_speedup = speedup_sum_ / static_cast<double>(m.sessions_served);
-  }
-  return m;
+  return totals_.snapshot();
 }
 
-// ---- framed stream driver -----------------------------------------------
+BatchResult serve_batch(StreamingService& service,
+                        const std::vector<TuningRequest>& requests) {
+  const ServiceMetrics before = service.metrics();
+  for (const TuningRequest& request : requests) service.submit(request);
+  BatchResult result;
+  result.reports.reserve(requests.size());
+  while (auto report = service.wait_completed()) {
+    result.reports.push_back(std::move(*report));
+  }
+  (void)service.flush();
+  // Admission sequence = request order (one submitting thread).
+  std::sort(result.reports.begin(), result.reports.end(),
+            [](const StreamReport& a, const StreamReport& b) {
+              return a.sequence < b.sequence;
+            });
+  SessionMetrics metrics;
+  for (const StreamReport& report : result.reports) {
+    metrics.record(report.session);
+  }
+  metrics.record_barrier(before, service.metrics());
+  result.metrics = metrics.snapshot();
+  return result;
+}
+
+// ---- wire payloads --------------------------------------------------------
 
 namespace {
 
@@ -667,183 +670,6 @@ std::optional<std::string> stat_payload_error(const std::string& payload) {
   } catch (const std::exception& e) {
     return std::string(e.what());
   }
-}
-
-StreamServeResult serve_frame_stream(std::istream& in, std::ostream& out,
-                                     StreamingService& service,
-                                     const StreamServeOptions& serve_options) {
-  StreamServeResult result;
-  write_stream_header(out);
-
-  obs::Tracer* tracer = service.options().service.obs.tracer;
-  const bool time_decode =
-      service.options().reply_timings && tracer != nullptr;
-
-  // TELE snapshots the live aggregates + instrument set — no barrier, so
-  // a mid-stream poll reflects whatever has completed so far.
-  const auto emit_tele = [&] {
-    std::ostringstream tele;
-    write_telemetry_payload(tele, service.metrics(), service.build_info(),
-                            service.metrics_registry(),
-                            serve_options.tele_include_nondeterministic);
-    write_frame(out, FrameType::kTelemetry,
-                strip_newline(std::move(tele).str()));
-    ++result.tele_frames;
-  };
-
-  // TSER precedes TELE at the FLSH/STAT/end points (wire v3); a service
-  // without a TimeSeriesRegistry emits nothing, keeping v2-shaped bytes.
-  const auto emit_tser = [&] {
-    const obs::TimeSeriesRegistry* series = service.timeseries_registry();
-    if (series == nullptr) return;
-    std::ostringstream os;
-    obs::write_timeseries_jsonl(os, series->snapshot());
-    write_frame(out, FrameType::kTimeSeries,
-                strip_newline(std::move(os).str()));
-    ++result.tser_frames;
-  };
-
-  std::size_t replies = 0;
-  const auto emit_completed = [&](bool drain) {
-    for (;;) {
-      std::optional<StreamReport> report =
-          drain ? service.wait_completed() : service.poll_completed();
-      if (!report) break;
-      if (!report->session.ok) ++result.failed_sessions;
-      if (report->session.timings && tracer != nullptr) {
-        // The write stage is the REP body serialization itself, measured
-        // on a discarded dry run so the emitted frame carries the number.
-        const std::uint64_t t0 = tracer->clock().now_ns();
-        (void)stream_reply_payload(*report);
-        report->session.timings->write_ns = tracer->clock().now_ns() - t0;
-      }
-      write_frame(out, FrameType::kReply, stream_reply_payload(*report));
-      ++replies;
-      if (serve_options.tele_every != 0 &&
-          replies % serve_options.tele_every == 0) {
-        emit_tele();
-      }
-    }
-  };
-
-  bool reading = true;
-  try {
-    read_stream_header(in);
-  } catch (const WireError& e) {
-    write_frame(out, FrameType::kError, stream_error_payload(e.what()));
-    ++result.protocol_errors;
-    reading = false;
-  }
-
-  std::size_t index = 0;
-  while (reading) {
-    std::optional<Frame> frame;
-    try {
-      frame = read_frame(in);
-    } catch (const WireError& e) {
-      // The stream is length-prefixed: after corrupt framing there is no
-      // resync point, so report it and stop reading. In-flight sessions
-      // still drain below.
-      write_frame(out, FrameType::kError, stream_error_payload(e.what()));
-      ++result.protocol_errors;
-      break;
-    }
-    if (!frame) {
-      write_frame(out, FrameType::kError,
-                  stream_error_payload("wire stream ended before the 'END' frame"));
-      ++result.protocol_errors;
-      break;
-    }
-    switch (frame->type) {
-      case FrameType::kRequest: {
-        ++result.requests;
-        try {
-          const std::uint64_t t0 = time_decode ? tracer->clock().now_ns() : 0;
-          TuningRequest request = parse_request_json(frame->payload, index);
-          if (time_decode && !request.trace_id.empty()) {
-            request.decode_ns = tracer->clock().now_ns() - t0;
-          }
-          // Warm requests against a missing/empty index are a typed
-          // protocol error, not a failed session: the client asked for
-          // retrieval the server cannot perform.
-          if (const auto warm_err = service.warm_error(request)) {
-            write_frame(out, FrameType::kError,
-                        stream_error_payload("request " +
-                                             std::to_string(index) + ": " +
-                                             *warm_err));
-            ++result.parse_errors;
-          } else {
-            service.submit(std::move(request));
-          }
-        } catch (const std::exception& e) {
-          // Framing is intact, so a bad payload only loses this request.
-          write_frame(out, FrameType::kError,
-                      stream_error_payload("request " + std::to_string(index) +
-                                    ": " + e.what()));
-          ++result.parse_errors;
-        }
-        ++index;
-        break;
-      }
-      case FrameType::kFlush:
-        emit_completed(/*drain=*/true);
-        (void)service.flush();
-        emit_tser();
-        emit_tele();
-        break;
-      case FrameType::kStat: {
-        // On-demand telemetry poll, no flush barrier. The payload is
-        // reserved for future options; it must be empty or a flat JSON
-        // object, and anything else is strictly rejected so a corrupt
-        // STAT cannot be half-honored.
-        if (const auto stat_error = stat_payload_error(frame->payload)) {
-          write_frame(out, FrameType::kError,
-                      stream_error_payload("STAT: " + *stat_error));
-          ++result.parse_errors;
-        } else {
-          ++result.stat_polls;
-          emit_tser();
-          emit_tele();
-        }
-        break;
-      }
-      case FrameType::kEnd:
-        result.clean_end = true;
-        reading = false;
-        break;
-      default:
-        // REP/METR/ERR travel server -> client; receiving one is a client
-        // bug but the framing is intact, so the stream continues.
-        write_frame(
-            out, FrameType::kError,
-            stream_error_payload(
-                "unexpected '" +
-                frame_type_name(static_cast<std::uint32_t>(frame->type)) +
-                "' frame from client"));
-        ++result.parse_errors;
-        break;
-    }
-    if (reading) emit_completed(/*drain=*/false);
-  }
-
-  emit_completed(/*drain=*/true);
-  (void)service.flush();
-  emit_tser();
-  emit_tele();
-  if (serve_options.metr_compat) {
-    std::ostringstream metrics;
-    write_metrics_jsonl(metrics, service.metrics(), service.build_info());
-    write_frame(out, FrameType::kMetrics,
-                strip_newline(std::move(metrics).str()));
-  }
-  write_frame(out, FrameType::kEnd, "");
-  out.flush();
-  return result;
-}
-
-StreamServeResult serve_frame_stream(std::istream& in, std::ostream& out,
-                                     StreamingService& service) {
-  return serve_frame_stream(in, out, service, StreamServeOptions{});
 }
 
 }  // namespace deepcat::service

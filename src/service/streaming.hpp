@@ -1,9 +1,9 @@
-// StreamingService: the no-barrier serving pipeline over the DeepCAT
-// library. Where TuningService (service.hpp) serves whole batches behind a
-// barrier, StreamingService admits requests as they arrive, runs them on
-// the thread pool with the same clone-on-tune sessions, and hands reports
-// back in completion order. Determinism is preserved by a sequencer
-// discipline instead of a barrier:
+// StreamingService: the serving engine over the DeepCAT library. It
+// admits requests as they arrive, runs them on the thread pool as
+// clone-on-tune sessions, and hands reports back in completion order.
+// Every serving path runs through it: the net front end (sockets, and
+// stdin/stdout over a socketpair) and serve_batch below. Determinism is
+// preserved by a sequencer discipline instead of a barrier:
 //
 //   - sessions are pure functions of (master snapshot, request): every
 //     request admitted between two flush boundaries is served against the
@@ -43,7 +43,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "core/deepcat_api.hpp"
 #include "obs/build_info.hpp"
@@ -124,9 +123,9 @@ class StreamingService {
   void set_warm_index(std::shared_ptr<const retrieval::ExperienceIndex> index);
   [[nodiscard]] bool has_warm_index() const;
 
-  /// Typed-error precheck shared by both transports (istream driver and
-  /// net front end): a warm request against a missing/empty index returns
-  /// the ERR message to emit; nullopt means the request is admissible.
+  /// Typed-error precheck for the wire transport: a warm request against
+  /// a missing/empty index returns the ERR message to emit; nullopt means
+  /// the request is admissible.
   [[nodiscard]] std::optional<std::string> warm_error(
       const TuningRequest& request) const;
 
@@ -201,6 +200,7 @@ class StreamingService {
     std::string id;
     std::uint64_t seed = 0;
     std::string workload;
+    std::uint64_t sequence = 0;  ///< admission index, the last tie-break
     std::vector<rl::Transition> transitions;
   };
 
@@ -266,15 +266,8 @@ class StreamingService {
   std::deque<StreamReport> completed_;
   std::size_t in_flight_ = 0;
   std::uint64_t next_sequence_ = 0;
-  ServiceMetrics totals_;
-  common::QuantileTracker rec_costs_{kRecCostSampleCap};
-  double speedup_sum_ = 0.0;
-  double reward_sum_ = 0.0;
-  /// Per-bucket rec-cost counts over rec_cost_bucket_edges() (+overflow),
-  /// maintained unconditionally (cheap) so sharded aggregation can merge
-  /// exactly even when the obs registry is off.
-  std::vector<std::uint64_t> rec_bucket_counts_ =
-      std::vector<std::uint64_t>(rec_cost_bucket_edges().size() + 1, 0);
+  /// Completion-order totals (the live view STAT polls and /varz read).
+  SessionMetrics totals_;
   /// Running best session reward per served model key, feeding the
   /// "model.<key>.best_reward" convergence series.
   std::map<std::string, double> best_reward_;
@@ -301,10 +294,24 @@ class StreamingService {
   common::ThreadPool pool_;
 };
 
-/// Canonical wire payload encoders shared by the istream serve driver and
-/// the net front end, so both transports emit byte-identical frames.
-/// stream_reply_payload is the REP body (report + model epoch, no trailing
-/// newline); stream_error_payload wraps a message as the ERR body.
+/// Reports of one batch plus the batch's own aggregate.
+struct BatchResult {
+  std::vector<StreamReport> reports;  ///< in request order
+  /// Sessions recorded in request order, so the float sums are identical
+  /// for any thread count; the merge counters are the flush's.
+  ServiceMetrics metrics;
+};
+
+/// Serves `requests` as one batch: submits them all, waits for every
+/// session, then merges once with a single flush. Every session of the
+/// batch is served against the same epoch snapshot. Call it on a service
+/// with no other unconsumed reports (it drains the completion queue).
+[[nodiscard]] BatchResult serve_batch(
+    StreamingService& service, const std::vector<TuningRequest>& requests);
+
+/// Canonical wire payload encoders: stream_reply_payload is the REP body
+/// (report + model epoch, no trailing newline); stream_error_payload
+/// wraps a message as the ERR body.
 [[nodiscard]] std::string stream_reply_payload(const StreamReport& report);
 [[nodiscard]] std::string stream_error_payload(const std::string& message);
 
@@ -312,45 +319,5 @@ class StreamingService {
 /// Returns nullopt when well formed, else the parse error message.
 [[nodiscard]] std::optional<std::string> stat_payload_error(
     const std::string& payload);
-
-/// Knobs for one serve_frame_stream drive.
-struct StreamServeOptions {
-  /// Also emit a TELE frame after every Nth REP (0 = only at the
-  /// protocol-mandated points: FLSH boundaries, STAT polls, before END).
-  std::size_t tele_every = 0;
-  /// false = byte-stable TELE payloads (deterministic instruments and
-  /// integer aggregates only); the CLI sets this for --clock logical.
-  bool tele_include_nondeterministic = true;
-  /// Keep emitting the deprecated METR frame before END so wire-v1
-  /// readers still find their flat keys. TELE is emitted either way.
-  bool metr_compat = true;
-};
-
-/// Result of driving one framed stream end to end.
-struct StreamServeResult {
-  std::size_t requests = 0;         ///< REQ frames seen (including bad ones)
-  std::size_t failed_sessions = 0;  ///< REP frames with ok=false
-  std::size_t parse_errors = 0;     ///< bad payloads / misdirected frames
-  std::size_t protocol_errors = 0;  ///< corrupt framing (stream abandoned)
-  std::size_t stat_polls = 0;       ///< well-formed STAT frames served
-  std::size_t tele_frames = 0;      ///< TELE frames emitted
-  std::size_t tser_frames = 0;      ///< TSER frames emitted (v3, gated)
-  bool clean_end = false;           ///< explicit END frame received
-};
-
-/// Serves one framed wire stream: reads REQ/STAT/FLSH/END frames from
-/// `in`, emits REP frames in completion order, a TELE frame at every
-/// FLSH boundary / STAT poll / before the end, then the final
-/// (deprecated, compat-gated) METR frame and an END frame to `out`.
-/// Corrupt framing is unrecoverable (the stream is length-prefixed), so
-/// it yields one ERR frame and stops reading; malformed request or STAT
-/// payloads yield an ERR frame each and the stream continues. In-flight
-/// work is always drained and merged before the final telemetry,
-/// whatever the input did.
-StreamServeResult serve_frame_stream(std::istream& in, std::ostream& out,
-                                     StreamingService& service,
-                                     const StreamServeOptions& serve_options);
-StreamServeResult serve_frame_stream(std::istream& in, std::ostream& out,
-                                     StreamingService& service);
 
 }  // namespace deepcat::service

@@ -24,8 +24,8 @@
 //   "REQ "  client -> server: one tuning request
 //   "REP "  server -> client: one session report (+ model, model_epoch)
 //   "METR"  server -> client: aggregate metrics flat keys, once before
-//           "END " — deprecated in favor of "TELE", still emitted by
-//           default for v1 readers (StreamServeOptions.metr_compat)
+//           "END " — deprecated in favor of "TELE", still emitted for
+//           v1 readers
 //   "TELE"  server -> client: versioned telemetry snapshot — one
 //           aggregate JSON line ("tele" schema tag + the METR fields +
 //           build labels) followed by the full name-sorted instrument

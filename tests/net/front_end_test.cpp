@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -414,7 +415,11 @@ TEST(FrontEndTest, MidstreamDisconnectDoesNotPoisonOtherConnections) {
 
 TEST(FrontEndTest, FlushBarrierAcksWithConnectionTele) {
   service::ShardedStreamingService svc(fake_options(2), 1);
-  svc.set_session_runner_for_test(fake_report);
+  svc.set_session_runner_for_test([](const TuningRequest& r) {
+    service::SessionReport report = fake_report(r);
+    report.new_transitions.emplace_back();  // gives the flush a merge
+    return report;
+  });
   FrontEndOptions options;
   options.unix_path = unique_socket_path("flush");
   TestServer server(svc, options);
@@ -437,6 +442,133 @@ TEST(FrontEndTest, FlushBarrierAcksWithConnectionTele) {
                        FrameType::kMetrics, FrameType::kEnd}));
   EXPECT_NE(frames[0].payload.find("\"id\":\"pre\""), std::string::npos);
   EXPECT_NE(frames[2].payload.find("\"id\":\"post\""), std::string::npos);
+  // The ack carries the merge the barrier this connection waited on made.
+  EXPECT_NE(frames[1].payload.find("\"merges\":1,"), std::string::npos)
+      << frames[1].payload;
+}
+
+TEST(FrontEndTest, HalfCloseDuringFlushBarrierServesBufferedFrames) {
+  // The client writes its whole conversation and half-closes while the
+  // FLSH is still parked behind a hostage session. The frames behind the
+  // barrier are complete, so they must all be served once it lifts: no
+  // truncation ERR, and the FLSH still gets its TELE ack.
+  auto gate = std::make_shared<Gate>();
+  service::ShardedStreamingService svc(fake_options(2), 1);
+  svc.set_session_runner_for_test([gate](const TuningRequest& r) {
+    if (r.id == "slow") gate->wait_inside();
+    return fake_report(r);
+  });
+  FrontEndOptions options;
+  options.unix_path = unique_socket_path("halfclose");
+  TestServer server(svc, options);
+
+  auto client = BlockingClient::to_unix(options.unix_path);
+  client.send_header();
+  client.send_frame(FrameType::kRequest, request_json("slow"));
+  client.send_frame(FrameType::kFlush, "");
+  client.send_frame(FrameType::kRequest, request_json("post"));
+  client.send_frame(FrameType::kEnd, "");
+  client.shutdown_writes();
+  gate->wait_entered(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  gate->release();
+
+  const auto frames = read_until_end(client);
+  const auto& stats = server.finish();
+  std::vector<FrameType> types;
+  for (const auto& f : frames) types.push_back(f.type);
+  EXPECT_EQ(types, (std::vector<FrameType>{
+                       FrameType::kReply, FrameType::kTelemetry,
+                       FrameType::kReply, FrameType::kTelemetry,
+                       FrameType::kMetrics, FrameType::kEnd}));
+  EXPECT_EQ(count_type(frames, FrameType::kError), 0u);
+  EXPECT_EQ(stats.protocol_errors, 0u);
+  EXPECT_EQ(stats.clean_ends, 1u);
+}
+
+TEST(FrontEndTest, StreamEndingErrorFollowsAdmittedReplies) {
+  // Corrupt framing ends the stream, but a request admitted before it is
+  // still answered first: REP, then the ERR, then the tail.
+  auto gate = std::make_shared<Gate>();
+  service::ShardedStreamingService svc(fake_options(2), 1);
+  svc.set_session_runner_for_test([gate](const TuningRequest& r) {
+    gate->wait_inside();
+    return fake_report(r);
+  });
+  FrontEndOptions options;
+  options.unix_path = unique_socket_path("errorder");
+  TestServer server(svc, options);
+
+  auto client = BlockingClient::to_unix(options.unix_path);
+  client.send_header();
+  client.send_frame(FrameType::kRequest, request_json("admitted"));
+  gate->wait_entered(1);
+  std::string corrupt = service::encode_frame(FrameType::kEnd, "");
+  corrupt.back() ^= 0x40;  // bad CRC
+  ASSERT_EQ(::send(client.fd(), corrupt.data(), corrupt.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(corrupt.size()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  gate->release();
+
+  const auto frames = read_until_end(client);
+  const auto& stats = server.finish();
+  ASSERT_GE(frames.size(), 3u);
+  EXPECT_EQ(frames[0].type, FrameType::kReply);
+  EXPECT_NE(frames[0].payload.find("\"id\":\"admitted\""), std::string::npos);
+  EXPECT_EQ(frames[1].type, FrameType::kError);
+  EXPECT_NE(frames[1].payload.find("checksum"), std::string::npos)
+      << frames[1].payload;
+  EXPECT_EQ(frames.back().type, FrameType::kEnd);
+  EXPECT_EQ(stats.protocol_errors, 1u);
+  EXPECT_EQ(stats.replies, 1u);
+}
+
+TEST(FrontEndTest, ServeStreamReturnsAtEndWhileInputStaysOpen) {
+  // A coprocess writes its stream, reads up to END and then waits for the
+  // server to exit with its write end still open. serve_stream must
+  // return at END instead of waiting for the input's EOF; the watchdog
+  // closes the pipe only if it does not, so a regression fails, not hangs.
+  service::ShardedStreamingService svc(fake_options(2), 1);
+  svc.set_session_runner_for_test(fake_report);
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  const FdGuard read_end(pipe_fds[0]);
+  FdGuard write_end(pipe_fds[1]);
+  const std::string input = service::encode_frames({
+      {FrameType::kRequest, request_json("a")},
+      {FrameType::kRequest, request_json("b")},
+      {FrameType::kEnd, ""},
+  });
+  ASSERT_EQ(::write(write_end.get(), input.data(), input.size()),
+            static_cast<ssize_t>(input.size()));
+
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool returned = false;
+  bool watchdog_fired = false;
+  std::thread watchdog([&] {
+    std::unique_lock lock(mutex);
+    if (!cv.wait_for(lock, std::chrono::seconds(20),
+                     [&] { return returned; })) {
+      watchdog_fired = true;
+      write_end.reset();
+    }
+  });
+  std::ostringstream out(std::ios::binary);
+  const FrontEndStats stats = serve_stream(svc, read_end.get(), out);
+  {
+    std::scoped_lock lock(mutex);
+    returned = true;
+  }
+  cv.notify_all();
+  watchdog.join();
+
+  EXPECT_FALSE(watchdog_fired) << "serve_stream waited for the input's EOF";
+  EXPECT_EQ(stats.clean_ends, 1u);
+  const auto frames = service::decode_frames(out.str());
+  EXPECT_EQ(count_type(frames, FrameType::kReply), 2u);
+  ASSERT_FALSE(frames.empty());
+  EXPECT_EQ(frames.back().type, FrameType::kEnd);
 }
 
 TEST(FrontEndTest, BackToBackFlushBarriersBothAck) {

@@ -107,7 +107,7 @@ std::map<std::size_t, std::string> run_fake_config(
   options.unix_path = unique_socket_path(tag);
   options.max_connections = 64;
   options.max_inflight = 256;
-  options.serve.tele_include_nondeterministic = false;
+  options.tele_include_nondeterministic = false;
   FrontEnd front_end(svc, options);
   FrontEndStats stats;
   std::thread loop([&] { stats = front_end.run(); });

@@ -1,7 +1,7 @@
 // Golden-transcript tests for the `deepcat serve --stream` engine: the
-// serve loop's output for a checked-in input conversation must be
-// byte-exact against the committed .golden files in
-// tests/service/golden/.
+// front end's output for a checked-in input conversation, served as one
+// stdin-style connection (net::serve_stream), must be byte-exact against
+// the committed .golden files in tests/service/golden/.
 //
 // The happy path runs through the injectable SessionRunner seam with
 // integer-valued reports, so its bytes are independent of the SIMD
@@ -25,8 +25,10 @@
 #include <sstream>
 #include <string>
 
+#include "net/server.hpp"
 #include "obs/timeseries.hpp"
 #include "retrieval/index.hpp"
+#include "service/sharding.hpp"
 #include "service/streaming.hpp"
 #include "service/wire.hpp"
 #include "sparksim/workloads.hpp"
@@ -153,17 +155,17 @@ std::string serve(const std::string& input, bool with_fake_runner,
                   bool with_warm_index = false,
                   obs::TimeSeriesRegistry* series = nullptr) {
   StreamingOptions options;
-  options.service.threads = 1;  // completion order == submission order
+  options.service.threads = 1;
   // The METR frame carries build-info labels; pin them so the transcript
   // bytes stay identical across numeric backends and host core counts.
   options.build_info = obs::BuildInfo{"golden", "pinned", false, 1};
   options.service.obs.series = series;
-  StreamingService svc(options);
+  ShardedStreamingService svc(options, 1);
   if (with_fake_runner) svc.set_session_runner_for_test(fake_session);
   if (with_warm_index) svc.set_warm_index(fake_index());
   std::istringstream in(input, std::ios::binary);
   std::ostringstream out(std::ios::binary);
-  (void)serve_frame_stream(in, out, svc);
+  (void)net::serve_stream(svc, in, out);
   return std::move(out).str();
 }
 

@@ -11,11 +11,13 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "net/server.hpp"
 #include "obs/clock.hpp"
 #include "obs/exporter.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "service/jsonl.hpp"
+#include "service/sharding.hpp"
 #include "service/streaming.hpp"
 #include "service/wire.hpp"
 #include "sparksim/workloads.hpp"
@@ -249,7 +251,7 @@ TEST(StreamingObsMetrTest, MetrFrameCarriesBuildInfoAndStaysParseable) {
   // Golden-style pin: METR build fields must be exactly what the options
   // injected, not whatever host this test runs on.
   options.build_info = obs::BuildInfo{"1.2.3-test", "pinned", false, 9};
-  StreamingService svc(options);
+  ShardedStreamingService svc(options, 1);
   svc.set_session_runner_for_test([](const TuningRequest& r) {
     SessionReport report;
     report.id = r.id;
@@ -270,7 +272,7 @@ TEST(StreamingObsMetrTest, MetrFrameCarriesBuildInfoAndStaysParseable) {
   });
   std::istringstream in(input, std::ios::binary);
   std::ostringstream out(std::ios::binary);
-  (void)serve_frame_stream(in, out, svc);
+  (void)net::serve_stream(svc, in, out);
 
   const auto frames = decode_frames(std::move(out).str());
   ASSERT_GE(frames.size(), 2u);
@@ -294,11 +296,14 @@ TEST(StreamingObsMetrTest, MetrFrameCarriesBuildInfoAndStaysParseable) {
   EXPECT_EQ(fields.at("threads"), "9");
 }
 
-TEST(StreamingTeleTest, TeleFramesAtEveryProtocolPointAndOnPolls) {
+/// Serves `input` through one stdin-style front-end connection with a
+/// fake runner, returning the front end's stats and output frames.
+std::pair<net::FrontEndStats, std::vector<Frame>> serve_fake(
+    const std::string& input, const net::FrontEndOptions& fe) {
   StreamingOptions options;
   options.service.threads = 1;
   options.build_info = obs::BuildInfo{"tele-test", "pinned", false, 1};
-  StreamingService svc(options);
+  ShardedStreamingService svc(options, 1);
   svc.set_session_runner_for_test([](const TuningRequest& r) {
     SessionReport report;
     report.id = r.id;
@@ -306,7 +311,13 @@ TEST(StreamingTeleTest, TeleFramesAtEveryProtocolPointAndOnPolls) {
     report.ok = true;
     return report;
   });
+  std::istringstream in(input, std::ios::binary);
+  std::ostringstream out(std::ios::binary);
+  const net::FrontEndStats stats = net::serve_stream(svc, in, out, fe);
+  return {stats, decode_frames(std::move(out).str())};
+}
 
+TEST(StreamingTeleTest, TeleFramesAtEveryProtocolPointAndOnPolls) {
   const std::string input = encode_frames({
       {FrameType::kStat, ""},
       {FrameType::kRequest, "{\"id\":\"a\",\"workload\":\"TS-D1\"}"},
@@ -316,28 +327,25 @@ TEST(StreamingTeleTest, TeleFramesAtEveryProtocolPointAndOnPolls) {
       {FrameType::kStat, "not json at all"},
       {FrameType::kEnd, ""},
   });
-  std::istringstream in(input, std::ios::binary);
-  std::ostringstream out(std::ios::binary);
-  StreamServeOptions serve_options;
-  serve_options.tele_every = 1;  // one TELE after every REP too
-  const StreamServeResult result =
-      serve_frame_stream(in, out, svc, serve_options);
+  net::FrontEndOptions fe;
+  fe.tele_every = 1;  // one TELE after every REP too
+  const auto [result, frames] = serve_fake(input, fe);
 
-  EXPECT_TRUE(result.clean_end);
+  EXPECT_EQ(result.clean_ends, 1u);
   EXPECT_EQ(result.requests, 2u);
   EXPECT_EQ(result.stat_polls, 2u);   // the malformed one does not count
   EXPECT_EQ(result.parse_errors, 1u);
   // TELE points: 2 polls + 1 FLSH + 2 per-REP + 1 before END.
   EXPECT_EQ(result.tele_frames, 6u);
 
-  const auto frames = decode_frames(std::move(out).str());
   std::size_t tele = 0, err = 0;
   for (const auto& f : frames) {
     if (f.type == FrameType::kTelemetry) {
       ++tele;
       // Every TELE payload leads with the versioned header line and the
       // pinned build labels.
-      EXPECT_EQ(f.payload.rfind("{\"tele\":1,", 0), 0u);
+      EXPECT_EQ(f.payload.rfind("{\"tele\":1,\"deterministic\":false,", 0),
+                0u);
       EXPECT_NE(f.payload.find("\"version\":\"tele-test\""),
                 std::string::npos);
     } else if (f.type == FrameType::kError) {
@@ -347,51 +355,24 @@ TEST(StreamingTeleTest, TeleFramesAtEveryProtocolPointAndOnPolls) {
   }
   EXPECT_EQ(tele, result.tele_frames);
   EXPECT_EQ(err, 1u);
-  // Compat default: the deprecated METR flat frame still precedes END.
+  // The deprecated METR flat frame still precedes END.
   ASSERT_GE(frames.size(), 3u);
   EXPECT_EQ(frames[frames.size() - 2].type, FrameType::kMetrics);
-}
 
-TEST(StreamingTeleTest, MetrCompatOffDropsTheDeprecatedFrame) {
-  StreamingOptions options;
-  options.service.threads = 1;
-  options.build_info = obs::BuildInfo{"tele-test", "pinned", false, 1};
-  StreamingService svc(options);
-  svc.set_session_runner_for_test([](const TuningRequest& r) {
-    SessionReport report;
-    report.id = r.id;
-    report.workload = r.workload;
-    report.ok = true;
-    return report;
-  });
-
-  const std::string input = encode_frames({
-      {FrameType::kRequest, "{\"id\":\"a\",\"workload\":\"TS-D1\"}"},
-      {FrameType::kEnd, ""},
-  });
-  std::istringstream in(input, std::ios::binary);
-  std::ostringstream out(std::ios::binary);
-  StreamServeOptions serve_options;
-  serve_options.metr_compat = false;
-  serve_options.tele_include_nondeterministic = false;
-  const StreamServeResult result =
-      serve_frame_stream(in, out, svc, serve_options);
-  EXPECT_TRUE(result.clean_end);
-
-  const auto frames = decode_frames(std::move(out).str());
-  ASSERT_GE(frames.size(), 2u);
-  // Tail is TELE + END, no METR anywhere.
-  EXPECT_EQ(frames[frames.size() - 1].type, FrameType::kEnd);
-  EXPECT_EQ(frames[frames.size() - 2].type, FrameType::kTelemetry);
-  for (const auto& f : frames) {
-    EXPECT_NE(f.type, FrameType::kMetrics);
-  }
   // The deterministic variant says so and drops the scheduling-dependent
-  // float aggregates.
-  const std::string& payload = frames[frames.size() - 2].payload;
-  EXPECT_EQ(payload.rfind("{\"tele\":1,\"deterministic\":true,", 0), 0u);
-  EXPECT_EQ(payload.find("mean_speedup"), std::string::npos);
-  EXPECT_NE(payload.find("\"sessions\":1"), std::string::npos);
+  // float aggregates; the tail is still TELE + METR + END.
+  fe.tele_every = 0;
+  fe.tele_include_nondeterministic = false;
+  const auto [stable_result, stable_frames] = serve_fake(input, fe);
+  EXPECT_EQ(stable_result.clean_ends, 1u);
+  ASSERT_GE(stable_frames.size(), 3u);
+  EXPECT_EQ(stable_frames[stable_frames.size() - 2].type, FrameType::kMetrics);
+  const Frame& tail_tele = stable_frames[stable_frames.size() - 3];
+  ASSERT_EQ(tail_tele.type, FrameType::kTelemetry);
+  EXPECT_EQ(tail_tele.payload.rfind("{\"tele\":1,\"deterministic\":true,", 0),
+            0u);
+  EXPECT_EQ(tail_tele.payload.find("mean_speedup"), std::string::npos);
+  EXPECT_NE(tail_tele.payload.find("\"sessions\":2"), std::string::npos);
 }
 
 }  // namespace

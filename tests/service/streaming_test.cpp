@@ -1,8 +1,8 @@
-// StreamingService behavior: streaming results match the batch service,
+// StreamingService behavior: streaming results match the batch path,
 // model epochs advance only on merging flushes, unknown models fail as
 // reports (never exceptions), multi-model routing lazily loads from the
-// registry and republishes on eviction, and the serve driver speaks the
-// framed wire protocol end to end.
+// registry and republishes on eviction, and a framed wire stream is
+// served end to end.
 #include "service/streaming.hpp"
 
 #include <gtest/gtest.h>
@@ -13,10 +13,13 @@
 #include <string>
 #include <vector>
 
+#include "net/server.hpp"
 #include "rl/replay_rdper.hpp"
 #include "service/checkpoint.hpp"
 #include "service/service.hpp"
+#include "service/sharding.hpp"
 #include "service/wire.hpp"
+#include "sparksim/hardware.hpp"
 #include "sparksim/workloads.hpp"
 
 namespace deepcat::service {
@@ -59,45 +62,35 @@ std::vector<StreamReport> drain(StreamingService& svc) {
 }
 
 TEST(StreamingTest, MatchesBatchServiceWithoutMasterUpdates) {
-  // With master_update_steps = 0 the streaming pipeline is the batch
-  // service minus the barrier: identical per-request reports and an
-  // identical post-merge master checkpoint.
+  // With master_update_steps = 0, submissions drained by one flush are
+  // the batch path (serve_batch) under any thread count: identical
+  // per-request reports, and a canonical-order merge that equals the
+  // request-order merge into the master pools for id-sorted requests.
   const auto workload = sparksim::make_workload(WorkloadType::kTeraSort, 3.2);
 
-  ServiceOptions batch_options;
-  batch_options.threads = 2;
-  batch_options.api = small_streaming_options(2).service.api;
-  TuningService batch(batch_options);
-  batch.train_master(workload, 40);
-  std::stringstream master_blob;
-  batch.save_master(master_blob);
+  StreamingService batch(small_streaming_options(2));
+  batch.train_model("default", workload, 40);
+  const std::string master_blob = batch.checkpoint_of("default");
 
   StreamingService streaming(small_streaming_options(4));
-  streaming.load_model("default", master_blob);
+  std::istringstream blob_in(master_blob, std::ios::binary);
+  streaming.load_model("default", blob_in);
 
   const auto requests = mixed_requests(8);
-  const auto batch_reports = batch.run_batch(requests);
+  const BatchResult batch_result = serve_batch(batch, requests);
   for (const auto& r : requests) streaming.submit(r);
   auto stream_reports = drain(streaming);
-  EXPECT_EQ(streaming.flush(), [&] {
-    std::size_t n = 0;
-    for (const auto& r : batch_reports) n += r.new_transitions.size();
-    return n;
-  }());
+  EXPECT_EQ(streaming.flush(), batch_result.metrics.merged_transitions);
 
-  ASSERT_EQ(stream_reports.size(), batch_reports.size());
+  ASSERT_EQ(stream_reports.size(), batch_result.reports.size());
   std::sort(stream_reports.begin(), stream_reports.end(),
             [](const StreamReport& a, const StreamReport& b) {
               return a.session.id < b.session.id;
             });
-  auto sorted_batch = batch_reports;
-  std::sort(sorted_batch.begin(), sorted_batch.end(),
-            [](const SessionReport& a, const SessionReport& b) {
-              return a.id < b.id;
-            });
-  for (std::size_t i = 0; i < sorted_batch.size(); ++i) {
+  for (std::size_t i = 0; i < requests.size(); ++i) {
     const auto& s = stream_reports[i].session;
-    const auto& b = sorted_batch[i];
+    const auto& b = batch_result.reports[i].session;
+    EXPECT_EQ(b.id, requests[i].id) << "batch reports come in request order";
     EXPECT_EQ(s.id, b.id);
     EXPECT_TRUE(s.ok) << s.error;
     EXPECT_EQ(s.report.best_time, b.report.best_time);
@@ -107,11 +100,21 @@ TEST(StreamingTest, MatchesBatchServiceWithoutMasterUpdates) {
         << "all sessions served from the initial epoch snapshot";
   }
 
-  std::stringstream merged_batch_blob;
-  batch.save_master(merged_batch_blob);
-  EXPECT_EQ(streaming.checkpoint_of("default"), merged_batch_blob.str())
-      << "canonical-order merge must equal the batch request-order merge "
-         "for id-sorted requests";
+  // Reference: the batch's experience appended to a copy of the master in
+  // request order.
+  core::DeepCat reference(sparksim::cluster_a(),
+                          small_streaming_options(1).service.api);
+  checkpoint_from_string(master_blob, reference);
+  for (const auto& r : batch_result.reports) {
+    for (const auto& t : r.session.new_transitions) {
+      reference.tuner().replay()->add(t);
+    }
+  }
+  const std::string request_order = checkpoint_to_string(reference);
+  EXPECT_EQ(batch.checkpoint_of("default"), request_order);
+  EXPECT_EQ(streaming.checkpoint_of("default"), request_order)
+      << "canonical-order merge must equal the request-order merge for "
+         "id-sorted requests";
 }
 
 TEST(StreamingTest, EpochAdvancesOnlyWhenAFlushMerges) {
@@ -272,7 +275,8 @@ TEST(StreamingTest, WaitCompletedReturnsNulloptWhenIdle) {
 }
 
 TEST(StreamingTest, ServeFrameStreamEndToEnd) {
-  StreamingService svc(small_streaming_options(2, /*master_steps=*/1));
+  ShardedStreamingService svc(small_streaming_options(2, /*master_steps=*/1),
+                              1);
   svc.train_model("default",
                   sparksim::make_workload(WorkloadType::kTeraSort, 3.2), 40);
 
@@ -288,8 +292,8 @@ TEST(StreamingTest, ServeFrameStreamEndToEnd) {
   });
   std::istringstream in(input, std::ios::binary);
   std::ostringstream out(std::ios::binary);
-  const auto result = serve_frame_stream(in, out, svc);
-  EXPECT_TRUE(result.clean_end);
+  const net::FrontEndStats result = net::serve_stream(svc, in, out);
+  EXPECT_EQ(result.clean_ends, 1u);
   EXPECT_EQ(result.requests, 3u);
   EXPECT_EQ(result.failed_sessions, 0u);
   EXPECT_EQ(result.protocol_errors, 0u);

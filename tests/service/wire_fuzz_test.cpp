@@ -14,8 +14,10 @@
 #include <string>
 
 #include "fuzz/wire_mutator.hpp"
+#include "net/server.hpp"
 #include "retrieval/index.hpp"
 #include "service/checkpoint.hpp"
+#include "service/sharding.hpp"
 #include "service/streaming.hpp"
 #include "service/wire.hpp"
 #include "sparksim/workloads.hpp"
@@ -116,7 +118,7 @@ TEST(WireFuzzTest, TypedErrorsNameTheOffendingFrame) {
 }
 
 TEST(WireFuzzTest, ServeDriverSurvivesMutatedStreams) {
-  // The serve loop in front of the decoder must also hold the line: any
+  // The front end in front of the decoder must also hold the line: any
   // mutated input yields a well-formed output stream that still terminates
   // with METR + END, never an escaped exception.
   const std::string base = wire_base_stream();
@@ -125,7 +127,7 @@ TEST(WireFuzzTest, ServeDriverSurvivesMutatedStreams) {
     const std::string mutant =
         fuzz::make_mutant(base, kCorpusSeed + 1, i * 7 + 3, &desc);
 
-    StreamingService svc;
+    ShardedStreamingService svc(StreamingOptions{}, 1);
     svc.set_session_runner_for_test([](const TuningRequest& r) {
       SessionReport report;
       report.id = r.id;
@@ -136,7 +138,7 @@ TEST(WireFuzzTest, ServeDriverSurvivesMutatedStreams) {
     });
     std::istringstream in(mutant, std::ios::binary);
     std::ostringstream out(std::ios::binary);
-    const StreamServeResult result = serve_frame_stream(in, out, svc);
+    const net::FrontEndStats result = net::serve_stream(svc, in, out);
 
     const auto frames = decode_frames(out.str());
     ASSERT_GE(frames.size(), 3u) << desc;
@@ -145,7 +147,7 @@ TEST(WireFuzzTest, ServeDriverSurvivesMutatedStreams) {
     EXPECT_EQ(frames[frames.size() - 3].type, FrameType::kTelemetry) << desc;
     EXPECT_EQ(frames[frames.size() - 3].payload.rfind("{\"tele\":1,", 0), 0u)
         << desc;
-    if (!result.clean_end) {
+    if (result.clean_ends == 0) {
       EXPECT_GT(result.protocol_errors + result.parse_errors, 0u) << desc;
     }
   }

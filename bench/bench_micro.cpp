@@ -170,6 +170,69 @@ void BM_Td3TrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_Td3TrainStep);
 
+// The layers under BM_Td3TrainStep at its shapes (batch 64, critic input
+// 9 + 32 = 41, hidden 128x128), so the per-layer numbers perfbench traces
+// (nn.critic_forward_gflops, the dX GEMM) reproduce without a server.
+constexpr std::size_t kTd3Batch = 64;
+const std::vector<std::size_t> kCriticDims{41, 128, 128, 1};
+
+// 2 * batch * sum(in * out): one dense forward's FLOPs.
+double critic_forward_flops() {
+  double f = 0.0;
+  for (std::size_t i = 0; i + 1 < kCriticDims.size(); ++i) {
+    f += 2.0 * static_cast<double>(kTd3Batch * kCriticDims[i] *
+                                   kCriticDims[i + 1]);
+  }
+  return f;
+}
+
+void BM_CriticForward64(benchmark::State& state) {
+  common::Rng rng(2);
+  nn::Mlp critic(kCriticDims, rng);
+  nn::Matrix x(kTd3Batch, kCriticDims.front());
+  for (double& v : x.flat()) v = rng.uniform();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(critic.forward(x));
+  }
+  state.counters["GFLOPS"] = benchmark::Counter(
+      critic_forward_flops() * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_CriticForward64);
+
+// One critic-update backward (Backprop::kParamsOnly, as train_step runs
+// it): weight and bias gradients of all three layers, dX of the upper two.
+void BM_CriticBackward64(benchmark::State& state) {
+  common::Rng rng(2);
+  nn::Mlp critic(kCriticDims, rng);
+  nn::Matrix x(kTd3Batch, kCriticDims.front());
+  for (double& v : x.flat()) v = rng.uniform();
+  nn::Matrix grad(kTd3Batch, 1);
+  for (double& v : grad.flat()) v = rng.normal();
+  (void)critic.forward(x);
+  for (auto _ : state) {
+    critic.zero_grad();
+    benchmark::DoNotOptimize(critic.backward(grad, nn::Backprop::kParamsOnly));
+  }
+}
+BENCHMARK(BM_CriticBackward64);
+
+// The hidden layer's input gradient dX = G * W^T: m=64 rows, n=128 input
+// features, k=128 output features.
+void BM_GemmNt64x128x128(benchmark::State& state) {
+  constexpr std::size_t m = 64, n = 128, k = 128;
+  common::Rng rng(7);
+  std::vector<double> a(m * k), b(n * k), c(m * n, 0.0);
+  for (double& v : a) v = rng.normal();
+  for (double& v : b) v = rng.normal();
+  for (auto _ : state) {
+    common::simd::gemm_nt(m, n, k, a.data(), k, b.data(), k, c.data(), n);
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFLOPS"] = benchmark::Counter(
+      2.0 * m * n * k * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_GemmNt64x128x128);
+
 void BM_TwinQIndicator(benchmark::State& state) {
   // The cost of one Twin-Q Optimizer probe: two critic forward passes.
   common::Rng rng(4);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -202,6 +204,29 @@ void gemm_nt_scalar(std::size_t m, std::size_t n, std::size_t k,
     for (std::size_t j = 0; j < n; ++j) {
       c[i * ldc + j] += dot_scalar(arow, b + j * ldb, k);
     }
+  }
+}
+
+void relu_scalar(double* x, std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) x[i] = x[i] > 0.0 ? x[i] : 0.0;
+}
+
+// The keep/drop decision is an all-ones/all-zeros mask ANDed onto g's bits,
+// so the scalar tier is branch-free too.
+void relu_grad_scalar(const double* g, const double* y, double* out,
+                      std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t keep = 0 - static_cast<std::uint64_t>(!(y[i] <= 0.0));
+    out[i] = std::bit_cast<double>(std::bit_cast<std::uint64_t>(g[i]) & keep);
+  }
+}
+
+void col_sums_add_scalar(std::size_t rows, std::size_t cols, const double* a,
+                         std::size_t lda, double* out) noexcept {
+  for (std::size_t j = 0; j < cols; ++j) {
+    double s = 0.0;
+    for (std::size_t r = 0; r < rows; ++r) s += a[r * lda + j];
+    out[j] += s;
   }
 }
 
@@ -479,13 +504,21 @@ DEEPCAT_TARGET_AVX2 void gemm_nn_avx2(std::size_t m, std::size_t n,
       _mm256_storeu_pd(c + (i + 2) * ldc + j, c2);
       _mm256_storeu_pd(c + (i + 3) * ldc + j, c3);
     }
+    // Leftover columns: four independent per-row chains advance together,
+    // so the FMA latency overlaps (each chain's order is unchanged).
     for (; j < n; ++j) {
-      for (std::size_t r = 0; r < 4; ++r) {
-        const double* arow = a + (i + r) * lda;
-        double s = 0.0;
-        for (std::size_t p = 0; p < k; ++p) s += arow[p] * b[p * ldb + j];
-        c[(i + r) * ldc + j] += s;
+      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+      for (std::size_t p = 0; p < k; ++p) {
+        const double bv = b[p * ldb + j];
+        s0 += a0[p] * bv;
+        s1 += a1[p] * bv;
+        s2 += a2[p] * bv;
+        s3 += a3[p] * bv;
       }
+      c[(i + 0) * ldc + j] += s0;
+      c[(i + 1) * ldc + j] += s1;
+      c[(i + 2) * ldc + j] += s2;
+      c[(i + 3) * ldc + j] += s3;
     }
   }
   for (; i < m; ++i) {
@@ -593,49 +626,162 @@ DEEPCAT_TARGET_AVX2 void gemm_tn_avx2(std::size_t m, std::size_t n,
   }
 }
 
-// Both operands are k-contiguous, so this is a batch of vector dots: one A
-// row against 4 B rows at a time, 4 running vector accumulators.
+// One output of the 1x4 dot kernel: a single vector accumulator over p in
+// 4-lane steps, hsum, then the scalar tail in ascending p. The blocked
+// kernel below keeps exactly this per-output arithmetic.
+DEEPCAT_TARGET_AVX2 void gemm_nt_row_avx2(const double* arow, std::size_t n,
+                                          std::size_t k, const double* b,
+                                          std::size_t ldb,
+                                          double* crow) noexcept {
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const double* b0 = b + (j + 0) * ldb;
+    const double* b1 = b + (j + 1) * ldb;
+    const double* b2 = b + (j + 2) * ldb;
+    const double* b3 = b + (j + 3) * ldb;
+    __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
+    __m256d acc2 = _mm256_setzero_pd(), acc3 = _mm256_setzero_pd();
+    std::size_t p = 0;
+    for (; p + 4 <= k; p += 4) {
+      const __m256d av = _mm256_loadu_pd(arow + p);
+      acc0 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b0 + p), acc0);
+      acc1 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b1 + p), acc1);
+      acc2 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b2 + p), acc2);
+      acc3 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b3 + p), acc3);
+    }
+    double s0 = hsum(acc0), s1 = hsum(acc1), s2 = hsum(acc2),
+           s3 = hsum(acc3);
+    for (; p < k; ++p) {
+      const double av = arow[p];
+      s0 += av * b0[p];
+      s1 += av * b1[p];
+      s2 += av * b2[p];
+      s3 += av * b3[p];
+    }
+    crow[j + 0] += s0;
+    crow[j + 1] += s1;
+    crow[j + 2] += s2;
+    crow[j + 3] += s3;
+  }
+  for (; j < n; ++j) crow[j] += dot_avx2(arow, b + j * ldb, k);
+}
+
+// 4 A rows x 2 B rows per tile: 8 accumulators + 4 A + 2 B vectors fit the
+// 16 ymm registers, and each load feeds 2 or 4 FMAs (the 1x4 kernel needs
+// 5 loads per 4 FMAs and re-streams B from L2 for every A row).
 DEEPCAT_TARGET_AVX2 void gemm_nt_avx2(std::size_t m, std::size_t n,
                                       std::size_t k, const double* a,
                                       std::size_t lda, const double* b,
                                       std::size_t ldb, double* c,
                                       std::size_t ldc) noexcept {
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* arow = a + i * lda;
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
+  const std::size_t n4 = n - n % 4;
+  std::size_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    const double* a0 = a + (i + 0) * lda;
+    const double* a1 = a + (i + 1) * lda;
+    const double* a2 = a + (i + 2) * lda;
+    const double* a3 = a + (i + 3) * lda;
+    double* c0 = c + (i + 0) * ldc;
+    double* c1 = c + (i + 1) * ldc;
+    double* c2 = c + (i + 2) * ldc;
+    double* c3 = c + (i + 3) * ldc;
+    for (std::size_t j = 0; j < n4; j += 2) {
       const double* b0 = b + (j + 0) * ldb;
       const double* b1 = b + (j + 1) * ldb;
-      const double* b2 = b + (j + 2) * ldb;
-      const double* b3 = b + (j + 3) * ldb;
-      __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
-      __m256d acc2 = _mm256_setzero_pd(), acc3 = _mm256_setzero_pd();
+      __m256d s00 = _mm256_setzero_pd(), s01 = _mm256_setzero_pd();
+      __m256d s10 = _mm256_setzero_pd(), s11 = _mm256_setzero_pd();
+      __m256d s20 = _mm256_setzero_pd(), s21 = _mm256_setzero_pd();
+      __m256d s30 = _mm256_setzero_pd(), s31 = _mm256_setzero_pd();
       std::size_t p = 0;
       for (; p + 4 <= k; p += 4) {
-        const __m256d av = _mm256_loadu_pd(arow + p);
-        acc0 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b0 + p), acc0);
-        acc1 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b1 + p), acc1);
-        acc2 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b2 + p), acc2);
-        acc3 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b3 + p), acc3);
+        const __m256d bv0 = _mm256_loadu_pd(b0 + p);
+        const __m256d bv1 = _mm256_loadu_pd(b1 + p);
+        __m256d av = _mm256_loadu_pd(a0 + p);
+        s00 = _mm256_fmadd_pd(av, bv0, s00);
+        s01 = _mm256_fmadd_pd(av, bv1, s01);
+        av = _mm256_loadu_pd(a1 + p);
+        s10 = _mm256_fmadd_pd(av, bv0, s10);
+        s11 = _mm256_fmadd_pd(av, bv1, s11);
+        av = _mm256_loadu_pd(a2 + p);
+        s20 = _mm256_fmadd_pd(av, bv0, s20);
+        s21 = _mm256_fmadd_pd(av, bv1, s21);
+        av = _mm256_loadu_pd(a3 + p);
+        s30 = _mm256_fmadd_pd(av, bv0, s30);
+        s31 = _mm256_fmadd_pd(av, bv1, s31);
       }
-      double s0 = hsum(acc0), s1 = hsum(acc1), s2 = hsum(acc2),
-             s3 = hsum(acc3);
+      double t00 = hsum(s00), t01 = hsum(s01), t10 = hsum(s10),
+             t11 = hsum(s11), t20 = hsum(s20), t21 = hsum(s21),
+             t30 = hsum(s30), t31 = hsum(s31);
       for (; p < k; ++p) {
-        const double av = arow[p];
-        s0 += av * b0[p];
-        s1 += av * b1[p];
-        s2 += av * b2[p];
-        s3 += av * b3[p];
+        const double bs0 = b0[p], bs1 = b1[p];
+        t00 += a0[p] * bs0;
+        t01 += a0[p] * bs1;
+        t10 += a1[p] * bs0;
+        t11 += a1[p] * bs1;
+        t20 += a2[p] * bs0;
+        t21 += a2[p] * bs1;
+        t30 += a3[p] * bs0;
+        t31 += a3[p] * bs1;
       }
-      c[i * ldc + j + 0] += s0;
-      c[i * ldc + j + 1] += s1;
-      c[i * ldc + j + 2] += s2;
-      c[i * ldc + j + 3] += s3;
+      c0[j] += t00;
+      c0[j + 1] += t01;
+      c1[j] += t10;
+      c1[j + 1] += t11;
+      c2[j] += t20;
+      c2[j + 1] += t21;
+      c3[j] += t30;
+      c3[j + 1] += t31;
     }
-    for (; j < n; ++j) {
-      c[i * ldc + j] += dot_avx2(arow, b + j * ldb, k);
+    for (std::size_t j = n4; j < n; ++j) {
+      const double* bj = b + j * ldb;
+      c0[j] += dot_avx2(a0, bj, k);
+      c1[j] += dot_avx2(a1, bj, k);
+      c2[j] += dot_avx2(a2, bj, k);
+      c3[j] += dot_avx2(a3, bj, k);
     }
   }
+  for (; i < m; ++i) {
+    gemm_nt_row_avx2(a + i * lda, n, k, b, ldb, c + i * ldc);
+  }
+}
+
+// max(x, 0) returns its second operand (+0.0) for NaN and for either zero,
+// which is exactly x > 0 ? x : +0.0.
+DEEPCAT_TARGET_AVX2 void relu_avx2(double* x, std::size_t n) noexcept {
+  const __m256d zero = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_pd(x + i, _mm256_max_pd(_mm256_loadu_pd(x + i), zero));
+  }
+  relu_scalar(x + i, n - i);
+}
+
+// NLE_UQ is !(y <= 0) with NaN true: the mask keeps g exactly where the
+// scalar formula does, and ANDing with an all-zeros lane writes +0.0.
+DEEPCAT_TARGET_AVX2 void relu_grad_avx2(const double* g, const double* y,
+                                        double* out, std::size_t n) noexcept {
+  const __m256d zero = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d keep =
+        _mm256_cmp_pd(_mm256_loadu_pd(y + i), zero, _CMP_NLE_UQ);
+    _mm256_storeu_pd(out + i, _mm256_and_pd(keep, _mm256_loadu_pd(g + i)));
+  }
+  relu_grad_scalar(g + i, y + i, out + i, n - i);
+}
+
+DEEPCAT_TARGET_AVX2 void col_sums_add_avx2(std::size_t rows, std::size_t cols,
+                                           const double* a, std::size_t lda,
+                                           double* out) noexcept {
+  std::size_t j = 0;
+  for (; j + 4 <= cols; j += 4) {
+    __m256d s = _mm256_setzero_pd();
+    for (std::size_t r = 0; r < rows; ++r) {
+      s = _mm256_add_pd(s, _mm256_loadu_pd(a + r * lda + j));
+    }
+    _mm256_storeu_pd(out + j, _mm256_add_pd(_mm256_loadu_pd(out + j), s));
+  }
+  col_sums_add_scalar(rows, cols - j, a + j, lda, out + j);
 }
 
 // ---- AVX-512 kernels -----------------------------------------------------
@@ -810,21 +956,66 @@ DEEPCAT_TARGET_AVX512 void adam_update_clipped_avx512(
   }
 }
 
+// 8 rows x 16 columns per tile over the full 16-column blocks of every
+// 8-row band: 16 zmm accumulators, where the 4x16 tiles below hold 8 —
+// too few to cover the FMA latency. Each C element keeps its one FMA
+// chain from the stored value in ascending p, so banded outputs are
+// bit-identical to the 4x16 tiles. A's element (i, p) is a[i*ars + p*acs],
+// which serves gemm_nn (ars = lda, acs = 1) and gemm_tn (ars = 1,
+// acs = lda). Returns the number of rows banded.
+DEEPCAT_TARGET_AVX512 std::size_t gemm_bands_8x16_avx512(
+    std::size_t m, std::size_t n, std::size_t k, const double* a,
+    std::size_t ars, std::size_t acs, const double* b, std::size_t ldb,
+    double* c, std::size_t ldc) noexcept {
+  std::size_t i = 0;
+  for (; i + 8 <= m; i += 8) {
+    for (std::size_t j = 0; j + 16 <= n; j += 16) {
+      __m512d acc[8][2];
+#pragma GCC unroll 8
+      for (std::size_t r = 0; r < 8; ++r) {
+        acc[r][0] = _mm512_loadu_pd(c + (i + r) * ldc + j);
+        acc[r][1] = _mm512_loadu_pd(c + (i + r) * ldc + j + 8);
+      }
+      for (std::size_t p = 0; p < k; ++p) {
+        const double* brow = b + p * ldb + j;
+        const __m512d b0 = _mm512_loadu_pd(brow);
+        const __m512d b1 = _mm512_loadu_pd(brow + 8);
+        const double* ap = a + i * ars + p * acs;
+#pragma GCC unroll 8
+        for (std::size_t r = 0; r < 8; ++r) {
+          const __m512d av = _mm512_set1_pd(ap[r * ars]);
+          acc[r][0] = _mm512_fmadd_pd(av, b0, acc[r][0]);
+          acc[r][1] = _mm512_fmadd_pd(av, b1, acc[r][1]);
+        }
+      }
+#pragma GCC unroll 8
+      for (std::size_t r = 0; r < 8; ++r) {
+        _mm512_storeu_pd(c + (i + r) * ldc + j, acc[r][0]);
+        _mm512_storeu_pd(c + (i + r) * ldc + j + 8, acc[r][1]);
+      }
+    }
+  }
+  return i;
+}
+
 // 4x16 register-blocked micro-kernel: the AVX2 4x8 tile widened to two
-// zmm columns per row — still 8 resident accumulators, double the flops
-// per broadcast.
+// zmm columns per row — 8 resident accumulators, double the flops per
+// broadcast. It covers what the 8x16 bands leave: their last n % 16
+// columns, and rows past the last full band.
 DEEPCAT_TARGET_AVX512 void gemm_nn_avx512(std::size_t m, std::size_t n,
                                           std::size_t k, const double* a,
                                           std::size_t lda, const double* b,
                                           std::size_t ldb, double* c,
                                           std::size_t ldc) noexcept {
+  const std::size_t banded =
+      gemm_bands_8x16_avx512(m, n, k, a, lda, 1, b, ldb, c, ldc);
   std::size_t i = 0;
   for (; i + 4 <= m; i += 4) {
     const double* a0 = a + (i + 0) * lda;
     const double* a1 = a + (i + 1) * lda;
     const double* a2 = a + (i + 2) * lda;
     const double* a3 = a + (i + 3) * lda;
-    std::size_t j = 0;
+    std::size_t j = i < banded ? n - n % 16 : 0;
     for (; j + 16 <= n; j += 16) {
       __m512d c00 = _mm512_loadu_pd(c + (i + 0) * ldc + j);
       __m512d c01 = _mm512_loadu_pd(c + (i + 0) * ldc + j + 8);
@@ -877,13 +1068,21 @@ DEEPCAT_TARGET_AVX512 void gemm_nn_avx512(std::size_t m, std::size_t n,
       _mm512_storeu_pd(c + (i + 2) * ldc + j, c2);
       _mm512_storeu_pd(c + (i + 3) * ldc + j, c3);
     }
+    // Leftover columns: four independent per-row chains advance together,
+    // so the FMA latency overlaps (each chain's order is unchanged).
     for (; j < n; ++j) {
-      for (std::size_t r = 0; r < 4; ++r) {
-        const double* arow = a + (i + r) * lda;
-        double s = 0.0;
-        for (std::size_t p = 0; p < k; ++p) s += arow[p] * b[p * ldb + j];
-        c[(i + r) * ldc + j] += s;
+      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+      for (std::size_t p = 0; p < k; ++p) {
+        const double bv = b[p * ldb + j];
+        s0 += a0[p] * bv;
+        s1 += a1[p] * bv;
+        s2 += a2[p] * bv;
+        s3 += a3[p] * bv;
       }
+      c[(i + 0) * ldc + j] += s0;
+      c[(i + 1) * ldc + j] += s1;
+      c[(i + 2) * ldc + j] += s2;
+      c[(i + 3) * ldc + j] += s3;
     }
   }
   for (; i < m; ++i) {
@@ -908,16 +1107,18 @@ DEEPCAT_TARGET_AVX512 void gemm_nn_avx512(std::size_t m, std::size_t n,
   }
 }
 
-// Same 4x16 block shape as gemm_nn_avx512; only the A access changes
-// (column i of the stored (k x m) A, i.e. strided broadcasts).
+// Same band + 4x16 block shapes as gemm_nn_avx512; only the A access
+// changes (column i of the stored (k x m) A, i.e. strided broadcasts).
 DEEPCAT_TARGET_AVX512 void gemm_tn_avx512(std::size_t m, std::size_t n,
                                           std::size_t k, const double* a,
                                           std::size_t lda, const double* b,
                                           std::size_t ldb, double* c,
                                           std::size_t ldc) noexcept {
+  const std::size_t banded =
+      gemm_bands_8x16_avx512(m, n, k, a, 1, lda, b, ldb, c, ldc);
   std::size_t i = 0;
   for (; i + 4 <= m; i += 4) {
-    std::size_t j = 0;
+    std::size_t j = i < banded ? n - n % 16 : 0;
     for (; j + 16 <= n; j += 16) {
       __m512d c00 = _mm512_loadu_pd(c + (i + 0) * ldc + j);
       __m512d c01 = _mm512_loadu_pd(c + (i + 0) * ldc + j + 8);
@@ -991,50 +1192,172 @@ DEEPCAT_TARGET_AVX512 void gemm_tn_avx512(std::size_t m, std::size_t n,
   }
 }
 
-// Batch of vector dots, one A row against 4 B rows, 8-wide accumulators.
+// _mm512_reduce_add_pd of four accumulators at once: lane q of the result
+// is bit-identical to _mm512_reduce_add_pd(acc_q). The same three levels
+// (high half + low half, then high pair + low pair, then element 0 +
+// element 1) run on shuffled registers, so four reductions cost about
+// what one did.
+DEEPCAT_TARGET_AVX512 inline __m256d reduce_add4_avx512(
+    __m512d a, __m512d b, __m512d c, __m512d d) noexcept {
+  // Level 1: [a.hi4 + a.lo4 | b.hi4 + b.lo4] and likewise for c, d.
+  const __m512d ab =
+      _mm512_add_pd(_mm512_shuffle_f64x2(a, b, _MM_SHUFFLE(3, 2, 3, 2)),
+                    _mm512_shuffle_f64x2(a, b, _MM_SHUFFLE(1, 0, 1, 0)));
+  const __m512d cd =
+      _mm512_add_pd(_mm512_shuffle_f64x2(c, d, _MM_SHUFFLE(3, 2, 3, 2)),
+                    _mm512_shuffle_f64x2(c, d, _MM_SHUFFLE(1, 0, 1, 0)));
+  // Level 2: one 128-bit lane per accumulator, high pair + low pair.
+  const __m512d t =
+      _mm512_add_pd(_mm512_shuffle_f64x2(ab, cd, _MM_SHUFFLE(3, 1, 3, 1)),
+                    _mm512_shuffle_f64x2(ab, cd, _MM_SHUFFLE(2, 0, 2, 0)));
+  // Level 3: element 0 + element 1 of each lane lands in its even slot.
+  const __m512d sum = _mm512_add_pd(t, _mm512_permute_pd(t, 0x55));
+  return _mm512_castpd512_pd256(_mm512_permutexvar_pd(
+      _mm512_set_epi64(7, 7, 7, 7, 6, 4, 2, 0), sum));
+}
+
+// One output row of the 1x4 dot kernel, 8-wide accumulators; the blocked
+// kernel below keeps exactly this per-output arithmetic.
+DEEPCAT_TARGET_AVX512 void gemm_nt_row_avx512(const double* arow,
+                                              std::size_t n, std::size_t k,
+                                              const double* b,
+                                              std::size_t ldb,
+                                              double* crow) noexcept {
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const double* b0 = b + (j + 0) * ldb;
+    const double* b1 = b + (j + 1) * ldb;
+    const double* b2 = b + (j + 2) * ldb;
+    const double* b3 = b + (j + 3) * ldb;
+    __m512d acc0 = _mm512_setzero_pd(), acc1 = _mm512_setzero_pd();
+    __m512d acc2 = _mm512_setzero_pd(), acc3 = _mm512_setzero_pd();
+    std::size_t p = 0;
+    for (; p + 8 <= k; p += 8) {
+      const __m512d av = _mm512_loadu_pd(arow + p);
+      acc0 = _mm512_fmadd_pd(av, _mm512_loadu_pd(b0 + p), acc0);
+      acc1 = _mm512_fmadd_pd(av, _mm512_loadu_pd(b1 + p), acc1);
+      acc2 = _mm512_fmadd_pd(av, _mm512_loadu_pd(b2 + p), acc2);
+      acc3 = _mm512_fmadd_pd(av, _mm512_loadu_pd(b3 + p), acc3);
+    }
+    double s0 = _mm512_reduce_add_pd(acc0);
+    double s1 = _mm512_reduce_add_pd(acc1);
+    double s2 = _mm512_reduce_add_pd(acc2);
+    double s3 = _mm512_reduce_add_pd(acc3);
+    for (; p < k; ++p) {
+      const double av = arow[p];
+      s0 += av * b0[p];
+      s1 += av * b1[p];
+      s2 += av * b2[p];
+      s3 += av * b3[p];
+    }
+    crow[j + 0] += s0;
+    crow[j + 1] += s1;
+    crow[j + 2] += s2;
+    crow[j + 3] += s3;
+  }
+  for (; j < n; ++j) crow[j] += dot_avx512(arow, b + j * ldb, k);
+}
+
+// 4 A rows x 4 B rows per tile: 16 accumulators + 4 A + 4 B vectors fit
+// the 32 zmm registers, so each load feeds 4 FMAs and B streams from L2
+// once per 4 A rows instead of once per row.
 DEEPCAT_TARGET_AVX512 void gemm_nt_avx512(std::size_t m, std::size_t n,
                                           std::size_t k, const double* a,
                                           std::size_t lda, const double* b,
                                           std::size_t ldb, double* c,
                                           std::size_t ldc) noexcept {
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* arow = a + i * lda;
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const double* b0 = b + (j + 0) * ldb;
-      const double* b1 = b + (j + 1) * ldb;
-      const double* b2 = b + (j + 2) * ldb;
-      const double* b3 = b + (j + 3) * ldb;
-      __m512d acc0 = _mm512_setzero_pd(), acc1 = _mm512_setzero_pd();
-      __m512d acc2 = _mm512_setzero_pd(), acc3 = _mm512_setzero_pd();
+  const std::size_t n4 = n - n % 4;
+  std::size_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    const double* ar[4] = {a + (i + 0) * lda, a + (i + 1) * lda,
+                           a + (i + 2) * lda, a + (i + 3) * lda};
+    double* cr[4] = {c + (i + 0) * ldc, c + (i + 1) * ldc, c + (i + 2) * ldc,
+                     c + (i + 3) * ldc};
+    for (std::size_t j = 0; j < n4; j += 4) {
+      const double* bc[4] = {b + (j + 0) * ldb, b + (j + 1) * ldb,
+                             b + (j + 2) * ldb, b + (j + 3) * ldb};
+      __m512d acc[4][4];
+#pragma GCC unroll 4
+      for (int r = 0; r < 4; ++r) {
+#pragma GCC unroll 4
+        for (int q = 0; q < 4; ++q) acc[r][q] = _mm512_setzero_pd();
+      }
       std::size_t p = 0;
       for (; p + 8 <= k; p += 8) {
-        const __m512d av = _mm512_loadu_pd(arow + p);
-        acc0 = _mm512_fmadd_pd(av, _mm512_loadu_pd(b0 + p), acc0);
-        acc1 = _mm512_fmadd_pd(av, _mm512_loadu_pd(b1 + p), acc1);
-        acc2 = _mm512_fmadd_pd(av, _mm512_loadu_pd(b2 + p), acc2);
-        acc3 = _mm512_fmadd_pd(av, _mm512_loadu_pd(b3 + p), acc3);
+        __m512d bv[4];
+#pragma GCC unroll 4
+        for (int q = 0; q < 4; ++q) bv[q] = _mm512_loadu_pd(bc[q] + p);
+#pragma GCC unroll 4
+        for (int r = 0; r < 4; ++r) {
+          const __m512d av = _mm512_loadu_pd(ar[r] + p);
+#pragma GCC unroll 4
+          for (int q = 0; q < 4; ++q) {
+            acc[r][q] = _mm512_fmadd_pd(av, bv[q], acc[r][q]);
+          }
+        }
       }
-      double s0 = _mm512_reduce_add_pd(acc0);
-      double s1 = _mm512_reduce_add_pd(acc1);
-      double s2 = _mm512_reduce_add_pd(acc2);
-      double s3 = _mm512_reduce_add_pd(acc3);
-      for (; p < k; ++p) {
-        const double av = arow[p];
-        s0 += av * b0[p];
-        s1 += av * b1[p];
-        s2 += av * b2[p];
-        s3 += av * b3[p];
+      // Scalar tail in ascending p, four columns per vector (per-lane FMA
+      // is the scalar tail's contracted s += a*b), then C += s. With k < 8
+      // the accumulators never left +0.0, and neither does their sum.
+#pragma GCC unroll 4
+      for (int r = 0; r < 4; ++r) {
+        __m256d sv = p == 0 ? _mm256_setzero_pd()
+                            : reduce_add4_avx512(acc[r][0], acc[r][1],
+                                                 acc[r][2], acc[r][3]);
+        for (std::size_t t = p; t < k; ++t) {
+          const __m256d bt = _mm256_set_pd(bc[3][t], bc[2][t], bc[1][t],
+                                           bc[0][t]);
+          sv = _mm256_fmadd_pd(_mm256_set1_pd(ar[r][t]), bt, sv);
+        }
+        double* cj = cr[r] + j;
+        _mm256_storeu_pd(cj, _mm256_add_pd(_mm256_loadu_pd(cj), sv));
       }
-      c[i * ldc + j + 0] += s0;
-      c[i * ldc + j + 1] += s1;
-      c[i * ldc + j + 2] += s2;
-      c[i * ldc + j + 3] += s3;
     }
-    for (; j < n; ++j) {
-      c[i * ldc + j] += dot_avx512(arow, b + j * ldb, k);
+    for (std::size_t j = n4; j < n; ++j) {
+      for (int r = 0; r < 4; ++r) cr[r][j] += dot_avx512(ar[r], b + j * ldb, k);
     }
   }
+  for (; i < m; ++i) {
+    gemm_nt_row_avx512(a + i * lda, n, k, b, ldb, c + i * ldc);
+  }
+}
+
+DEEPCAT_TARGET_AVX512 void relu_avx512(double* x, std::size_t n) noexcept {
+  const __m512d zero = _mm512_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm512_storeu_pd(x + i, _mm512_max_pd(_mm512_loadu_pd(x + i), zero));
+  }
+  relu_scalar(x + i, n - i);
+}
+
+DEEPCAT_TARGET_AVX512 void relu_grad_avx512(const double* g, const double* y,
+                                            double* out,
+                                            std::size_t n) noexcept {
+  const __m512d zero = _mm512_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __mmask8 keep =
+        _mm512_cmp_pd_mask(_mm512_loadu_pd(y + i), zero, _CMP_NLE_UQ);
+    _mm512_storeu_pd(out + i, _mm512_maskz_mov_pd(keep, _mm512_loadu_pd(g + i)));
+  }
+  relu_grad_scalar(g + i, y + i, out + i, n - i);
+}
+
+DEEPCAT_TARGET_AVX512 void col_sums_add_avx512(std::size_t rows,
+                                               std::size_t cols,
+                                               const double* a,
+                                               std::size_t lda,
+                                               double* out) noexcept {
+  std::size_t j = 0;
+  for (; j + 8 <= cols; j += 8) {
+    __m512d s = _mm512_setzero_pd();
+    for (std::size_t r = 0; r < rows; ++r) {
+      s = _mm512_add_pd(s, _mm512_loadu_pd(a + r * lda + j));
+    }
+    _mm512_storeu_pd(out + j, _mm512_add_pd(_mm512_loadu_pd(out + j), s));
+  }
+  col_sums_add_scalar(rows, cols - j, a + j, lda, out + j);
 }
 
 // ---- L2-tiled packed GEMM path -------------------------------------------
@@ -1554,6 +1877,56 @@ void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
   }
 #endif
   gemm_nt_scalar(m, n, k, a, lda, b, ldb, c, ldc);
+}
+
+void relu(double* x, std::size_t n) noexcept {
+#if DEEPCAT_SIMD_X86
+  switch (active_backend()) {
+    case Backend::kAvx512:
+      relu_avx512(x, n);
+      return;
+    case Backend::kAvx2:
+      relu_avx2(x, n);
+      return;
+    default:
+      break;
+  }
+#endif
+  relu_scalar(x, n);
+}
+
+void relu_grad(const double* g, const double* y, double* out,
+               std::size_t n) noexcept {
+#if DEEPCAT_SIMD_X86
+  switch (active_backend()) {
+    case Backend::kAvx512:
+      relu_grad_avx512(g, y, out, n);
+      return;
+    case Backend::kAvx2:
+      relu_grad_avx2(g, y, out, n);
+      return;
+    default:
+      break;
+  }
+#endif
+  relu_grad_scalar(g, y, out, n);
+}
+
+void col_sums_add(std::size_t rows, std::size_t cols, const double* a,
+                  std::size_t lda, double* out) noexcept {
+#if DEEPCAT_SIMD_X86
+  switch (active_backend()) {
+    case Backend::kAvx512:
+      col_sums_add_avx512(rows, cols, a, lda, out);
+      return;
+    case Backend::kAvx2:
+      col_sums_add_avx2(rows, cols, a, lda, out);
+      return;
+    default:
+      break;
+  }
+#endif
+  col_sums_add_scalar(rows, cols, a, lda, out);
 }
 
 }  // namespace deepcat::common::simd

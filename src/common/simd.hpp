@@ -203,6 +203,26 @@ void adam_update_clipped(const AdamTensor* tensors, std::size_t count,
                          double bc1, double bc2, double lr,
                          double eps) noexcept;
 
+// ---- Element-wise layer kernels ------------------------------------------
+// The dense-layer epilogues. Branch-free on every tier (a compare mask, not
+// a data-dependent jump: hidden activations have random signs, so a branch
+// mispredicts about half the time) and bit-identical to the scalar formulas
+// on every tier. Uncounted in DispatchCounts, like the level-1 primitives.
+
+/// x[i] = x[i] > 0 ? x[i] : +0.0 in place. -0.0 and NaN map to +0.0.
+void relu(double* x, std::size_t n) noexcept;
+
+/// out[i] = y[i] <= 0 ? +0.0 : g[i] — the ReLU gradient through the
+/// activation OUTPUT y. A NaN y keeps g. `out` may alias `g`.
+void relu_grad(const double* g, const double* y, double* out,
+               std::size_t n) noexcept;
+
+/// out[j] += s_j where s_j = sum_r a[r*lda + j], summed from +0.0 in
+/// ascending row order — the bias-gradient column sum, vectorized across
+/// columns with each column's addition order unchanged.
+void col_sums_add(std::size_t rows, std::size_t cols, const double* a,
+                  std::size_t lda, double* out) noexcept;
+
 // ---- Level-3 GEMM kernels ----------------------------------------------
 // All accumulate into C (C += ...), so the caller controls the epilogue
 // start state: zero-filled for a plain product, bias-broadcast rows for the
@@ -211,9 +231,10 @@ void adam_update_clipped(const AdamTensor* tensors, std::size_t count,
 // (see packed_gemm_min_dim()), through the L2-tiled packed path.
 
 /// C(m x n) += A(m x k) * B(k x n). Register-blocked broadcast-A /
-/// streamed-B micro-kernel on the vector tiers (4x8 on avx2, 4x16 on
-/// avx512); the scalar path is the cache-friendly ikj loop with a
-/// zero-skip on A (which makes post-ReLU activations cheap).
+/// streamed-B micro-kernel on the vector tiers (4x8 on avx2; 8x16 over
+/// 8-row bands, 4x16 for the rest, on avx512; gemm_tn likewise); the
+/// scalar path is the cache-friendly ikj loop with a zero-skip on A
+/// (which makes post-ReLU activations cheap).
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
              std::size_t ldc) noexcept;
@@ -224,6 +245,12 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t ldc) noexcept;
 
 /// C(m x n) += A * B^T where B is stored (n x k): C[i][j] += dot(A[i], B[j]).
+/// The vector tiers block 4 A rows x 4 B rows (avx512) or 4 x 2 (avx2, whose
+/// 16 registers cannot hold 16 accumulators), so each load feeds several
+/// FMAs. Every output keeps the per-output arithmetic of a 1x4 dot kernel:
+/// one vector accumulator over p in lane-width steps, the tier's horizontal
+/// sum, the scalar tail in ascending p, then C += s. Columns past the last
+/// multiple of 4 take dot(). Blocking therefore changes no bits.
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
              std::size_t ldc) noexcept;

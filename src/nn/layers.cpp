@@ -1,10 +1,18 @@
 #include "nn/layers.hpp"
 
-#include <cmath>
+#include <stdexcept>
 
 #include "nn/init.hpp"
 
 namespace deepcat::nn {
+
+namespace {
+// What a backward pass that skips dL/dx returns.
+const Matrix& empty_matrix() {
+  static const Matrix kEmpty;
+  return kEmpty;
+}
+}  // namespace
 
 Linear::Linear(std::size_t in_features, std::size_t out_features,
                common::Rng& rng, Init init)
@@ -19,19 +27,34 @@ Linear::Linear(std::size_t in_features, std::size_t out_features,
   }
 }
 
-Matrix Linear::forward(const Matrix& x) {
+const Matrix& Linear::forward(const Matrix& x) {
   return forward_fused(x, Activation::kNone);
 }
 
-Matrix Linear::forward_fused(const Matrix& x, Activation act) {
-  input_cache_ = x;
-  return matmul_bias_act(x, w_, b_, act);
+const Matrix& Linear::forward_fused(const Matrix& x, Activation act) {
+  matmul_bias_act_into(x, w_, b_, act, y_);
+  x_ = &x;
+  return y_;
 }
 
-Matrix Linear::backward(const Matrix& grad_out) {
-  gw_ += matmul_tn(input_cache_, grad_out);
-  gb_ += col_sums(grad_out);
-  return matmul_nt(grad_out, w_);
+const Matrix& Linear::backward(const Matrix& grad_out) {
+  return backward(grad_out, Backprop::kFull);
+}
+
+const Matrix& Linear::backward(const Matrix& grad_out, Backprop mode) {
+  if (x_ == nullptr) {
+    throw std::logic_error("Linear::backward: no forward pass to differentiate");
+  }
+  if (grad_out.rows() != x_->rows() || grad_out.cols() != out_features()) {
+    throw std::invalid_argument("Linear::backward: gradient shape mismatch");
+  }
+  if (mode != Backprop::kInputOnly) {
+    matmul_tn_add(*x_, grad_out, gw_);
+    col_sums_add(grad_out, gb_);
+  }
+  if (mode == Backprop::kParamsOnly) return empty_matrix();
+  matmul_nt_into(grad_out, w_, dx_);
+  return dx_;
 }
 
 std::vector<Param> Linear::params() {
@@ -44,22 +67,29 @@ void Linear::zero_grad() {
 }
 
 std::unique_ptr<Layer> Linear::clone() const {
+  // Parameters and gradients only: the copy starts with empty workspaces
+  // and no remembered input.
   auto copy = std::make_unique<Linear>(*this);
-  copy->input_cache_ = Matrix{};
+  copy->y_ = Matrix{};
+  copy->dx_ = Matrix{};
+  copy->x_ = nullptr;
   return copy;
 }
 
-Matrix ActivationLayer::forward(const Matrix& x) {
-  Matrix y = x;
-  apply_activation(y, kind());
-  output_cache_ = y;
-  return y;
+const Matrix& ActivationLayer::forward(const Matrix& x) {
+  out_ = x;
+  apply_activation(out_, kind());
+  y_ = &out_;
+  return out_;
 }
 
-Matrix ActivationLayer::backward(const Matrix& grad_out) {
-  Matrix g = grad_out;
-  apply_activation_grad(g, output_cache_, kind());
-  return g;
+const Matrix& ActivationLayer::backward(const Matrix& grad_out) {
+  if (y_ == nullptr) {
+    throw std::logic_error(
+        "ActivationLayer::backward: no forward pass to differentiate");
+  }
+  apply_activation_grad(grad_out, *y_, kind(), grad_);
+  return grad_;
 }
 
 std::unique_ptr<Layer> ReLU::clone() const {

@@ -1,6 +1,14 @@
 // Dense layers with explicit forward/backward passes. Batches are
-// row-major: x is (batch x features). Each layer caches what it needs for
-// the backward pass, so forward() must precede backward() on the same batch.
+// row-major: x is (batch x features).
+//
+// Workspaces: every layer owns the matrices its passes write (output, input
+// gradient) and reuses their allocations across calls, so a warmed-up layer
+// allocates nothing. forward()/backward() return references into those
+// workspaces, valid until the layer's next forward()/backward().
+//
+// Lifetime rule: a layer remembers its forward input by address, not by
+// copy. The matrix passed to forward() must stay alive and unchanged until
+// the matching backward() (DESIGN.md §7, "TD3 train step").
 #pragma once
 
 #include <memory>
@@ -19,16 +27,26 @@ struct Param {
   Matrix* grad = nullptr;
 };
 
+/// Which gradients a backward pass produces. TD3 reads neither a critic's
+/// input gradient on its own update nor the actor's input gradient, and it
+/// discards the critic's parameter gradients of the actor update.
+enum class Backprop {
+  kFull,        ///< parameter gradients and dL/dx
+  kParamsOnly,  ///< parameter gradients; dL/dx of the first layer skipped
+  kInputOnly,   ///< dL/dx only; parameter gradients left untouched
+};
+
 /// Abstract differentiable layer.
 class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// y = f(x); caches activations needed by backward().
-  virtual Matrix forward(const Matrix& x) = 0;
+  /// y = f(x) into the layer's output workspace; remembers what backward()
+  /// needs (`x` by address — see the lifetime rule above).
+  virtual const Matrix& forward(const Matrix& x) = 0;
 
   /// Given dL/dy, accumulates parameter gradients and returns dL/dx.
-  virtual Matrix backward(const Matrix& grad_out) = 0;
+  virtual const Matrix& backward(const Matrix& grad_out) = 0;
 
   /// Parameter/gradient handles (empty for activations).
   virtual std::vector<Param> params() { return {}; }
@@ -49,13 +67,17 @@ class Linear final : public Layer {
   Linear(std::size_t in_features, std::size_t out_features, common::Rng& rng,
          Init init = Init::kKaiming);
 
-  Matrix forward(const Matrix& x) override;
+  const Matrix& forward(const Matrix& x) override;
   /// Fused act(x W + b) in one kernel pass (no intermediate pre-activation
-  /// matrix). Caches x for backward exactly like forward(); the caller is
-  /// responsible for priming the downstream activation layer's cache with
-  /// the returned output (see Mlp::forward).
-  Matrix forward_fused(const Matrix& x, Activation act);
-  Matrix backward(const Matrix& grad_out) override;
+  /// matrix). Remembers x for backward exactly like forward(); the caller
+  /// is responsible for priming the downstream activation layer with the
+  /// returned output (see Mlp::forward).
+  const Matrix& forward_fused(const Matrix& x, Activation act);
+  const Matrix& backward(const Matrix& grad_out) override;
+  /// backward() restricted to the gradients `mode` asks for. gw/gb
+  /// accumulate in place (gemm_tn's C +=, a column sum added to gb).
+  /// Returns dL/dx, or an empty matrix under Backprop::kParamsOnly.
+  const Matrix& backward(const Matrix& grad_out, Backprop mode);
   std::vector<Param> params() override;
   void zero_grad() override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
@@ -69,27 +91,33 @@ class Linear final : public Layer {
   [[nodiscard]] Matrix& bias() noexcept { return b_; }
 
  private:
-  Matrix w_, b_, gw_, gb_, input_cache_;
+  Matrix w_, b_, gw_, gb_;
+  Matrix y_;   ///< forward output workspace
+  Matrix dx_;  ///< input-gradient workspace
+  const Matrix* x_ = nullptr;  ///< last forward input (lifetime rule)
 };
 
 /// Base for element-wise activations. All supported activations have
 /// derivatives expressible in terms of their OUTPUT, so backward only needs
-/// the output cache — which lets Mlp::forward fuse the preceding Linear's
-/// GEMM with the activation and install the fused result directly via
+/// the output — which lets Mlp::forward fuse the preceding Linear's GEMM
+/// with the activation and point this layer at the fused result via
 /// prime_from_output().
 class ActivationLayer : public Layer {
  public:
   [[nodiscard]] virtual Activation kind() const noexcept = 0;
 
-  Matrix forward(const Matrix& x) final;
-  Matrix backward(const Matrix& grad_out) final;
+  const Matrix& forward(const Matrix& x) final;
+  const Matrix& backward(const Matrix& grad_out) final;
 
-  /// Installs an already-activated output as this layer's backward cache
-  /// (the fused forward path computed it inside the GEMM epilogue).
-  void prime_from_output(const Matrix& y) { output_cache_ = y; }
+  /// Uses an already-activated output (computed in the preceding Linear's
+  /// GEMM epilogue) for backward. `y` is referenced, not copied: it must
+  /// outlive the matching backward(), like a forward input.
+  void prime_from_output(const Matrix& y) noexcept { y_ = &y; }
 
  private:
-  Matrix output_cache_;
+  Matrix out_;   ///< standalone forward() output workspace
+  Matrix grad_;  ///< input-gradient workspace
+  const Matrix* y_ = nullptr;  ///< output used by backward()
 };
 
 /// Rectified linear unit.

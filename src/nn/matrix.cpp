@@ -44,6 +44,12 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
+void Matrix::resize(std::size_t rows, std::size_t cols) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.resize(rows * cols);
+}
+
 void Matrix::fill(double value) noexcept {
   std::fill(data_.begin(), data_.end(), value);
 }
@@ -114,43 +120,67 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
 }
 
 Matrix matmul_tn(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows()) {
-    throw std::invalid_argument("matmul_tn: inner dimension mismatch");
-  }
   Matrix c(a.cols(), b.cols());
-  common::simd::gemm_tn(a.cols(), b.cols(), a.rows(), a.data(), a.cols(),
-                        b.data(), b.cols(), c.data(), c.cols());
+  matmul_tn_add(a, b, c);
   return c;
 }
 
+void matmul_tn_add(const Matrix& a, const Matrix& b, Matrix& c) {
+  if (a.rows() != b.rows()) {
+    throw std::invalid_argument("matmul_tn: inner dimension mismatch");
+  }
+  if (c.rows() != a.cols() || c.cols() != b.cols()) {
+    throw std::invalid_argument("matmul_tn_add: output shape mismatch");
+  }
+  common::simd::gemm_tn(a.cols(), b.cols(), a.rows(), a.data(), a.cols(),
+                        b.data(), b.cols(), c.data(), c.cols());
+}
+
 Matrix matmul_nt(const Matrix& a, const Matrix& b) {
+  Matrix c;
+  matmul_nt_into(a, b, c);
+  return c;
+}
+
+void matmul_nt_into(const Matrix& a, const Matrix& b, Matrix& c) {
   if (a.cols() != b.cols()) {
     throw std::invalid_argument("matmul_nt: inner dimension mismatch");
   }
-  Matrix c(a.rows(), b.rows());
+  // The kernel accumulates, so the output starts from +0.0 exactly as a
+  // freshly allocated matrix would.
+  c.resize(a.rows(), b.rows());
+  c.set_zero();
   common::simd::gemm_nt(a.rows(), b.rows(), a.cols(), a.data(), a.cols(),
                         b.data(), b.cols(), c.data(), c.cols());
-  return c;
 }
 
 Matrix matmul_bias_act(const Matrix& x, const Matrix& w, const Matrix& bias,
                        Activation act) {
+  Matrix c;
+  matmul_bias_act_into(x, w, bias, act, c);
+  return c;
+}
+
+void matmul_bias_act_into(const Matrix& x, const Matrix& w,
+                          const Matrix& bias, Activation act, Matrix& out) {
   if (x.cols() != w.rows()) {
     throw std::invalid_argument("matmul_bias_act: inner dimension mismatch");
   }
   if (bias.rows() != 1 || bias.cols() != w.cols()) {
     throw std::invalid_argument("matmul_bias_act: bias shape mismatch");
   }
-  Matrix c(x.rows(), w.cols());
+  if (&out == &x) {
+    throw std::invalid_argument("matmul_bias_act: output aliases input");
+  }
+  out.resize(x.rows(), w.cols());
   // Seed every output row with the bias so the GEMM accumulates on top of
   // it — the broadcast costs one streaming write instead of a second pass.
-  for (std::size_t r = 0; r < c.rows(); ++r) {
-    std::copy(bias.row(0).begin(), bias.row(0).end(), c.row(r).begin());
+  for (std::size_t r = 0; r < out.rows(); ++r) {
+    std::copy(bias.row(0).begin(), bias.row(0).end(), out.row(r).begin());
   }
   common::simd::gemm_nn(x.rows(), w.cols(), x.cols(), x.data(), x.cols(),
-                        w.data(), w.cols(), c.data(), c.cols());
-  apply_activation(c, act);
-  return c;
+                        w.data(), w.cols(), out.data(), out.cols());
+  apply_activation(out, act);
 }
 
 void apply_activation(Matrix& y, Activation act) noexcept {
@@ -158,7 +188,7 @@ void apply_activation(Matrix& y, Activation act) noexcept {
     case Activation::kNone:
       break;
     case Activation::kRelu:
-      for (double& v : y.flat()) v = v > 0.0 ? v : 0.0;
+      common::simd::relu(y.data(), y.size());
       break;
     case Activation::kTanh:
       for (double& v : y.flat()) v = std::tanh(v);
@@ -171,27 +201,37 @@ void apply_activation(Matrix& y, Activation act) noexcept {
 
 void apply_activation_grad(Matrix& grad, const Matrix& y,
                            Activation act) noexcept {
+  const std::size_t n = grad.size();
+  double* g = grad.data();
+  const double* v = y.data();
   switch (act) {
     case Activation::kNone:
       break;
     case Activation::kRelu:
-      for (std::size_t i = 0; i < grad.size(); ++i) {
-        if (y.flat()[i] <= 0.0) grad.flat()[i] = 0.0;
-      }
+      common::simd::relu_grad(g, v, g, n);
       break;
     case Activation::kTanh:
-      for (std::size_t i = 0; i < grad.size(); ++i) {
-        const double v = y.flat()[i];
-        grad.flat()[i] *= 1.0 - v * v;
-      }
+      for (std::size_t i = 0; i < n; ++i) g[i] *= 1.0 - v[i] * v[i];
       break;
     case Activation::kSigmoid:
-      for (std::size_t i = 0; i < grad.size(); ++i) {
-        const double v = y.flat()[i];
-        grad.flat()[i] *= v * (1.0 - v);
-      }
+      for (std::size_t i = 0; i < n; ++i) g[i] *= v[i] * (1.0 - v[i]);
       break;
   }
+}
+
+void apply_activation_grad(const Matrix& grad, const Matrix& y,
+                           Activation act, Matrix& out) {
+  require_same_shape(grad, y, "apply_activation_grad");
+  if (&out != &grad) {
+    out.resize(grad.rows(), grad.cols());
+    if (act == Activation::kRelu) {
+      // One pass: read grad and y, write out.
+      common::simd::relu_grad(grad.data(), y.data(), out.data(), grad.size());
+      return;
+    }
+    std::copy(grad.flat().begin(), grad.flat().end(), out.flat().begin());
+  }
+  apply_activation_grad(out, y, act);
 }
 
 Matrix hadamard(const Matrix& a, const Matrix& b) {
@@ -213,11 +253,16 @@ void add_row_broadcast(Matrix& m, const Matrix& bias) {
 
 Matrix col_sums(const Matrix& m) {
   Matrix s(1, m.cols());
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    const double* row = m.data() + r * m.cols();
-    for (std::size_t c = 0; c < m.cols(); ++c) s(0, c) += row[c];
-  }
+  col_sums_add(m, s);
   return s;
+}
+
+void col_sums_add(const Matrix& m, Matrix& s) {
+  if (s.rows() != 1 || s.cols() != m.cols()) {
+    throw std::invalid_argument("col_sums_add: output shape mismatch");
+  }
+  common::simd::col_sums_add(m.rows(), m.cols(), m.data(), m.cols(),
+                             s.data());
 }
 
 }  // namespace deepcat::nn

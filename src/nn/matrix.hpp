@@ -54,6 +54,12 @@ class Matrix {
     return {data_.data() + r * cols_, cols_};
   }
 
+  /// Reshapes to rows x cols, keeping the allocation when its capacity
+  /// suffices (a workspace sized once for a 64-row batch serves 1-row
+  /// calls and the next batch without reallocating). Element values are
+  /// unspecified afterwards; callers overwrite or zero them.
+  void resize(std::size_t rows, std::size_t cols);
+
   void fill(double value) noexcept;
   void set_zero() noexcept { fill(0.0); }
 
@@ -87,6 +93,16 @@ class Matrix {
 /// C = A * B^T without materializing B^T.
 [[nodiscard]] Matrix matmul_nt(const Matrix& a, const Matrix& b);
 
+// Workspace forms of the products above, for callers that own their
+// output: `c` is resized (its allocation reused) and overwritten, or
+// accumulated into by the `_add` forms, with arithmetic bit-identical to
+// the allocating calls.
+
+/// c = A * B^T.
+void matmul_nt_into(const Matrix& a, const Matrix& b, Matrix& c);
+/// c += A^T * B; c must already be (a.cols() x b.cols()).
+void matmul_tn_add(const Matrix& a, const Matrix& b, Matrix& c);
+
 /// Element-wise nonlinearity applied in a GEMM epilogue / activation layer.
 enum class Activation { kNone, kRelu, kTanh, kSigmoid };
 
@@ -96,13 +112,25 @@ enum class Activation { kNone, kRelu, kTanh, kSigmoid };
 [[nodiscard]] Matrix matmul_bias_act(const Matrix& x, const Matrix& w,
                                      const Matrix& bias, Activation act);
 
-/// y = act(y) element-wise, in place.
+/// matmul_bias_act into `out` (resized, allocation reused). `out` must not
+/// alias `x`.
+void matmul_bias_act_into(const Matrix& x, const Matrix& w,
+                          const Matrix& bias, Activation act, Matrix& out);
+
+/// y = act(y) element-wise, in place. ReLU is branch-free
+/// (simd::relu): -0.0 and NaN map to +0.0.
 void apply_activation(Matrix& y, Activation act) noexcept;
 
 /// grad *= act'(y) element-wise, where `y` is the activation OUTPUT (all
-/// supported activations have output-expressible derivatives).
+/// supported activations have output-expressible derivatives). The ReLU
+/// gradient is kept iff !(y <= 0), branch-free (simd::relu_grad).
 void apply_activation_grad(Matrix& grad, const Matrix& y,
                            Activation act) noexcept;
+
+/// out = grad * act'(y): apply_activation_grad without modifying `grad`
+/// (`out` is resized, its allocation reused; it may be `grad` itself).
+void apply_activation_grad(const Matrix& grad, const Matrix& y,
+                           Activation act, Matrix& out);
 
 /// Element-wise (Hadamard) product.
 [[nodiscard]] Matrix hadamard(const Matrix& a, const Matrix& b);
@@ -112,5 +140,8 @@ void add_row_broadcast(Matrix& m, const Matrix& bias);
 
 /// Column-wise sum producing a 1 x cols row vector.
 [[nodiscard]] Matrix col_sums(const Matrix& m);
+
+/// s += col_sums(m); s must already be 1 x m.cols().
+void col_sums_add(const Matrix& m, Matrix& s);
 
 }  // namespace deepcat::nn

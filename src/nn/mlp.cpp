@@ -1,5 +1,6 @@
 #include "nn/mlp.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -41,34 +42,41 @@ Mlp& Mlp::operator=(const Mlp& other) {
   return *this;
 }
 
-Matrix Mlp::forward(const Matrix& x) {
-  Matrix y = x;
+const Matrix& Mlp::forward(const Matrix& x) {
+  const Matrix* y = &x;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     // Fuse Linear -> activation pairs into one kernel pass: the activation
     // runs in the GEMM epilogue and the pre-activation matrix is never
-    // materialized. The activation layer only needs its output cached for
-    // backward, which the fused result provides directly.
+    // materialized. The activation layer only needs the output for
+    // backward, which it reads from the Linear's workspace.
     auto* linear = dynamic_cast<Linear*>(layers_[i].get());
     auto* act = linear && i + 1 < layers_.size()
                     ? dynamic_cast<ActivationLayer*>(layers_[i + 1].get())
                     : nullptr;
     if (linear && act) {
-      y = linear->forward_fused(y, act->kind());
-      act->prime_from_output(y);
+      y = &linear->forward_fused(*y, act->kind());
+      act->prime_from_output(*y);
       ++i;
     } else {
-      y = layers_[i]->forward(y);
+      y = &layers_[i]->forward(*y);
     }
   }
-  return y;
+  return *y;
 }
 
-Matrix Mlp::backward(const Matrix& grad_out) {
-  Matrix g = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
+const Matrix& Mlp::backward(const Matrix& grad_out, Backprop mode) {
+  const Matrix* g = &grad_out;
+  for (std::size_t i = layers_.size(); i-- > 0;) {
+    if (auto* linear = dynamic_cast<Linear*>(layers_[i].get())) {
+      // kInputOnly holds for every layer; kParamsOnly only drops the first
+      // layer's dX, which every layer above still needs.
+      const bool own = i == 0 || mode == Backprop::kInputOnly;
+      g = &linear->backward(*g, own ? mode : Backprop::kFull);
+    } else {
+      g = &layers_[i]->backward(*g);
+    }
   }
-  return g;
+  return *g;
 }
 
 void Mlp::zero_grad() {
@@ -84,7 +92,9 @@ std::vector<Param> Mlp::params() {
 }
 
 std::vector<double> Mlp::forward_one(std::span<const double> x) {
-  const Matrix y = forward(Matrix::row_vector(x));
+  row_in_.resize(1, x.size());
+  std::copy(x.begin(), x.end(), row_in_.data());
+  const Matrix& y = forward(row_in_);
   return {y.flat().begin(), y.flat().end()};
 }
 

@@ -29,14 +29,23 @@ class Mlp {
   Mlp(Mlp&&) noexcept = default;
   Mlp& operator=(Mlp&&) noexcept = default;
 
-  [[nodiscard]] Matrix forward(const Matrix& x);
-  /// Backward through the whole stack; returns dL/dx.
-  Matrix backward(const Matrix& grad_out);
+  /// Forward through the stack. The result lives in the last layer's
+  /// workspace until the next forward(); `x` must outlive the matching
+  /// backward() (layers.hpp lifetime rule). Allocation-free once the
+  /// workspaces have seen the largest batch.
+  [[nodiscard]] const Matrix& forward(const Matrix& x);
+  /// Backward through the whole stack; returns dL/dx, or an empty matrix
+  /// under Backprop::kParamsOnly (the first layer's dL/dx is never
+  /// computed). Backprop::kInputOnly leaves every parameter gradient as it
+  /// was. A moved Mlp needs a fresh forward() before backward().
+  const Matrix& backward(const Matrix& grad_out,
+                         Backprop mode = Backprop::kFull);
 
   void zero_grad();
   [[nodiscard]] std::vector<Param> params();
 
-  /// Single-sample convenience: forward on a 1 x n input.
+  /// Single-sample convenience: forward on a 1 x n input (copied into a
+  /// 1-row workspace, so the call leaves no dangling forward input).
   [[nodiscard]] std::vector<double> forward_one(std::span<const double> x);
 
   /// this = tau * src + (1 - tau) * this, parameter-wise. Shapes must match.
@@ -57,6 +66,7 @@ class Mlp {
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
+  Matrix row_in_;  ///< forward_one input workspace
 };
 
 /// Mean-squared-error loss over a batch: L = mean((pred - target)^2).

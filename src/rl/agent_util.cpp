@@ -7,37 +7,56 @@ namespace deepcat::rl {
 
 namespace {
 template <typename Selector>
-nn::Matrix pack(std::span<const Transition* const> batch, Selector select) {
+void pack(std::span<const Transition* const> batch, Selector select,
+          nn::Matrix& out) {
   if (batch.empty()) throw std::invalid_argument("pack: empty batch");
   const auto& first = select(*batch.front());
-  nn::Matrix m(batch.size(), first.size());
+  out.resize(batch.size(), first.size());
   for (std::size_t r = 0; r < batch.size(); ++r) {
     const auto& v = select(*batch[r]);
-    if (v.size() != m.cols()) {
+    if (v.size() != out.cols()) {
       throw std::invalid_argument("pack: ragged transition vectors");
     }
-    std::copy(v.begin(), v.end(), m.row(r).begin());
+    std::copy(v.begin(), v.end(), out.row(r).begin());
   }
-  return m;
+}
+
+const std::vector<double>& state(const Transition& t) { return t.state; }
+const std::vector<double>& action(const Transition& t) { return t.action; }
+const std::vector<double>& next_state(const Transition& t) {
+  return t.next_state;
 }
 }  // namespace
 
+void states_of(std::span<const Transition* const> batch, nn::Matrix& out) {
+  pack(batch, state, out);
+}
+
+void actions_of(std::span<const Transition* const> batch, nn::Matrix& out) {
+  pack(batch, action, out);
+}
+
+void next_states_of(std::span<const Transition* const> batch,
+                    nn::Matrix& out) {
+  pack(batch, next_state, out);
+}
+
 nn::Matrix states_of(std::span<const Transition* const> batch) {
-  return pack(batch, [](const Transition& t) -> const std::vector<double>& {
-    return t.state;
-  });
+  nn::Matrix m;
+  states_of(batch, m);
+  return m;
 }
 
 nn::Matrix actions_of(std::span<const Transition* const> batch) {
-  return pack(batch, [](const Transition& t) -> const std::vector<double>& {
-    return t.action;
-  });
+  nn::Matrix m;
+  actions_of(batch, m);
+  return m;
 }
 
 nn::Matrix next_states_of(std::span<const Transition* const> batch) {
-  return pack(batch, [](const Transition& t) -> const std::vector<double>& {
-    return t.next_state;
-  });
+  nn::Matrix m;
+  next_states_of(batch, m);
+  return m;
 }
 
 nn::Matrix rewards_of(std::span<const Transition* const> batch) {
@@ -55,29 +74,39 @@ nn::Matrix dones_of(std::span<const Transition* const> batch) {
 }
 
 nn::Matrix concat_cols(const nn::Matrix& a, const nn::Matrix& b) {
+  nn::Matrix c;
+  concat_cols(a, b, c);
+  return c;
+}
+
+void concat_cols(const nn::Matrix& a, const nn::Matrix& b, nn::Matrix& out) {
   if (a.rows() != b.rows()) {
     throw std::invalid_argument("concat_cols: row mismatch");
   }
-  nn::Matrix c(a.rows(), a.cols() + b.cols());
+  out.resize(a.rows(), a.cols() + b.cols());
   for (std::size_t r = 0; r < a.rows(); ++r) {
-    auto dst = c.row(r);
+    auto dst = out.row(r);
     std::copy(a.row(r).begin(), a.row(r).end(), dst.begin());
     std::copy(b.row(r).begin(), b.row(r).end(),
               dst.begin() + static_cast<std::ptrdiff_t>(a.cols()));
   }
-  return c;
 }
 
 nn::Matrix right_cols(const nn::Matrix& m, std::size_t cols) {
+  nn::Matrix out;
+  right_cols(m, cols, out);
+  return out;
+}
+
+void right_cols(const nn::Matrix& m, std::size_t cols, nn::Matrix& out) {
   if (cols > m.cols()) throw std::invalid_argument("right_cols: too wide");
-  nn::Matrix out(m.rows(), cols);
+  out.resize(m.rows(), cols);
   const std::size_t offset = m.cols() - cols;
   for (std::size_t r = 0; r < m.rows(); ++r) {
     const auto src = m.row(r);
     std::copy(src.begin() + static_cast<std::ptrdiff_t>(offset), src.end(),
               out.row(r).begin());
   }
-  return out;
 }
 
 }  // namespace deepcat::rl

@@ -27,4 +27,14 @@ namespace deepcat::rl {
 /// Right `cols` columns of `m` (used to slice dQ/da out of dQ/d[s,a]).
 [[nodiscard]] nn::Matrix right_cols(const nn::Matrix& m, std::size_t cols);
 
+// Workspace forms for the train-step loop: same values as the calls
+// above, written into `out` (resized, its allocation reused).
+
+void states_of(std::span<const Transition* const> batch, nn::Matrix& out);
+void actions_of(std::span<const Transition* const> batch, nn::Matrix& out);
+void next_states_of(std::span<const Transition* const> batch,
+                    nn::Matrix& out);
+void concat_cols(const nn::Matrix& a, const nn::Matrix& b, nn::Matrix& out);
+void right_cols(const nn::Matrix& m, std::size_t cols, nn::Matrix& out);
+
 }  // namespace deepcat::rl

@@ -87,7 +87,8 @@ DdpgTrainStats DdpgAgent::train_step(ReplayBuffer& buffer, common::Rng& rng) {
   std::vector<double> td_errors(m);
 
   critic_.zero_grad();
-  const nn::Matrix pred = critic_.forward(concat_cols(s, a));
+  const nn::Matrix critic_in = concat_cols(s, a);
+  const nn::Matrix& pred = critic_.forward(critic_in);
   nn::Matrix grad(m, 1);
   double loss = 0.0;
   for (std::size_t i = 0; i < m; ++i) {
@@ -105,8 +106,8 @@ DdpgTrainStats DdpgAgent::train_step(ReplayBuffer& buffer, common::Rng& rng) {
   // Actor ascent on Q(s, mu(s)).
   actor_.zero_grad();
   critic_.zero_grad();
-  const nn::Matrix a_pi = actor_.forward(s);
-  const nn::Matrix q = critic_.forward(concat_cols(s, a_pi));
+  const nn::Matrix policy_in = concat_cols(s, actor_.forward(s));
+  const nn::Matrix& q = critic_.forward(policy_in);
   double q_mean = 0.0;
   for (std::size_t i = 0; i < m; ++i) q_mean += q(i, 0);
   stats.actor_loss = -q_mean / static_cast<double>(m);

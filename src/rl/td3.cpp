@@ -89,10 +89,11 @@ std::vector<double> Td3Agent::act_noisy(std::span<const double> state,
 
 std::pair<double, double> Td3Agent::twin_q(std::span<const double> state,
                                            std::span<const double> action) {
-  std::vector<double> input(state.begin(), state.end());
-  input.insert(input.end(), action.begin(), action.end());
-  const double q1 = critic1_.forward_one(input)[0];
-  const double q2 = critic2_.forward_one(input)[0];
+  pair_in_.resize(1, state.size() + action.size());
+  const auto tail = std::copy(state.begin(), state.end(), pair_in_.data());
+  std::copy(action.begin(), action.end(), tail);
+  const double q1 = critic1_.forward(pair_in_)(0, 0);
+  const double q2 = critic2_.forward(pair_in_)(0, 0);
   return {q1, q2};
 }
 
@@ -113,72 +114,70 @@ std::size_t Td3Agent::fine_tune(ReplayBuffer& buffer, common::Rng& rng,
 Td3TrainStats Td3Agent::train_step(ReplayBuffer& buffer, common::Rng& rng) {
   const SampledBatch batch = buffer.sample(config_.batch_size, rng);
   const auto m = batch.size();
+  const std::size_t sd = config_.state_dim;
 
-  const nn::Matrix s = states_of(batch.transitions);
-  const nn::Matrix a = actions_of(batch.transitions);
-  const nn::Matrix r = rewards_of(batch.transitions);
-  const nn::Matrix s_next = next_states_of(batch.transitions);
-  const nn::Matrix done = dones_of(batch.transitions);
+  states_of(batch.transitions, states_);
+  actions_of(batch.transitions, actions_);
+  next_states_of(batch.transitions, next_states_);
 
-  // Target action with clipped smoothing noise (TD3 trick #3).
-  nn::Matrix a_next = actor_target_.forward(s_next);
-  for (double& v : a_next.flat()) {
-    const double eps = common::clamp(rng.normal(0.0, config_.policy_noise),
-                                     -config_.noise_clip, config_.noise_clip);
-    v = common::clamp(v + eps, 0.0, 1.0);
+  // Target action with clipped smoothing noise (TD3 trick #3), applied in
+  // place to the action half of the target critics' input.
+  concat_cols(next_states_, actor_target_.forward(next_states_), target_in_);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (double& v : target_in_.row(i).subspan(sd)) {
+      const double eps = common::clamp(rng.normal(0.0, config_.policy_noise),
+                                       -config_.noise_clip, config_.noise_clip);
+      v = common::clamp(v + eps, 0.0, 1.0);
+    }
   }
 
   // Clipped double-Q target (TD3 trick #1).
-  const nn::Matrix target_in = concat_cols(s_next, a_next);
-  const nn::Matrix q1_next = critic1_target_.forward(target_in);
-  const nn::Matrix q2_next = critic2_target_.forward(target_in);
-  nn::Matrix y(m, 1);
+  const nn::Matrix& q1_next = critic1_target_.forward(target_in_);
+  const nn::Matrix& q2_next = critic2_target_.forward(target_in_);
+  targets_.resize(m);
   for (std::size_t i = 0; i < m; ++i) {
+    const Transition& t = *batch.transitions[i];
     const double q_min = std::min(q1_next(i, 0), q2_next(i, 0));
-    y(i, 0) = r(i, 0) + config_.gamma * (1.0 - done(i, 0)) * q_min;
+    const double done = t.done ? 1.0 : 0.0;
+    targets_[i] = t.reward + config_.gamma * (1.0 - done) * q_min;
   }
 
-  const nn::Matrix critic_in = concat_cols(s, a);
+  concat_cols(states_, actions_, critic_in_);
   Td3TrainStats stats;
-  std::vector<double> td_errors(m);
+  td_errors_.resize(m);
+  td_grad_.resize(m, 1);
 
   auto update_critic = [&](nn::Mlp& critic, nn::Adam& opt,
                            bool record_td) -> double {
     critic.zero_grad();
-    const nn::Matrix pred = critic.forward(critic_in);
+    const nn::Matrix& pred = critic.forward(critic_in_);
     // Importance-weighted MSE (weights are 1.0 for uniform/RDPER).
-    nn::Matrix grad(m, 1);
     double loss = 0.0;
     for (std::size_t i = 0; i < m; ++i) {
-      const double diff = pred(i, 0) - y(i, 0);
+      const double diff = pred(i, 0) - targets_[i];
       const double w = batch.weights[i];
       loss += w * diff * diff;
-      grad(i, 0) = 2.0 * w * diff / static_cast<double>(m);
-      if (record_td) td_errors[i] = diff;
+      td_grad_(i, 0) = 2.0 * w * diff / static_cast<double>(m);
+      if (record_td) td_errors_[i] = diff;
     }
-    critic.backward(grad);
+    // dL/d(critic input) is never read: skip the first layer's dX.
+    critic.backward(td_grad_, nn::Backprop::kParamsOnly);
     opt.step();
     return loss / static_cast<double>(m);
   };
 
   stats.critic1_loss = update_critic(critic1_, critic1_opt_, true);
   stats.critic2_loss = update_critic(critic2_, critic2_opt_, false);
-  buffer.update_priorities(batch.ids, td_errors);
+  buffer.update_priorities(batch.ids, td_errors_);
 
   ++steps_;
   // Delayed policy + target updates (TD3 trick #2).
   if (steps_ % config_.policy_delay == 0) {
-    update_actor(s);
+    update_actor();
     actor_target_.soft_update_from(actor_, config_.tau);
     critic1_target_.soft_update_from(critic1_, config_.tau);
     critic2_target_.soft_update_from(critic2_, config_.tau);
-
-    // Recompute actor loss for reporting: -mean(Q1(s, pi(s))).
-    const nn::Matrix a_pi = actor_.forward(s);
-    const nn::Matrix q = critic1_.forward(concat_cols(s, a_pi));
-    double q_mean = 0.0;
-    for (std::size_t i = 0; i < m; ++i) q_mean += q(i, 0);
-    stats.actor_loss = -q_mean / static_cast<double>(m);
+    stats.actor_loss = actor_loss();
   }
   if (obs_train_steps_ != nullptr) {
     obs_train_steps_->add(1);
@@ -197,26 +196,30 @@ Td3TrainStats Td3Agent::train_step(ReplayBuffer& buffer, common::Rng& rng) {
   return stats;
 }
 
-void Td3Agent::update_actor(const nn::Matrix& states) {
+void Td3Agent::update_actor() {
   // Maximize Q1(s, pi(s)): gradient of -mean(Q1) w.r.t. actor parameters,
-  // chained through the critic input (paper Eq. 4 decomposition).
+  // chained through the critic input (paper Eq. 4 decomposition). The
+  // critic pass produces dQ/d(input) only — its parameter gradients would
+  // be discarded — and the actor needs no dL/d(state).
   actor_.zero_grad();
-  critic1_.zero_grad();
+  concat_cols(states_, actor_.forward(states_), policy_in_);
+  const nn::Matrix& q = critic1_.forward(policy_in_);
 
-  const nn::Matrix a_pi = actor_.forward(states);
-  const nn::Matrix critic_in = concat_cols(states, a_pi);
-  const nn::Matrix q = critic1_.forward(critic_in);
+  dq_.resize(q.rows(), 1);
+  dq_.fill(-1.0 / static_cast<double>(q.rows()));  // d(-mean Q)/dQ
+  const nn::Matrix& d_input = critic1_.backward(dq_, nn::Backprop::kInputOnly);
+  right_cols(d_input, config_.action_dim, d_action_);
 
-  nn::Matrix dq(q.rows(), 1,
-                -1.0 / static_cast<double>(q.rows()));  // d(-mean Q)/dQ
-  const nn::Matrix d_input = critic1_.backward(dq);
-  const nn::Matrix d_action = right_cols(d_input, config_.action_dim);
-
-  actor_.backward(d_action);
+  actor_.backward(d_action_, nn::Backprop::kParamsOnly);
   actor_opt_.step();
-  // The critic's parameter gradients from this pass are a by-product;
-  // discard them so the next critic update starts clean.
-  critic1_.zero_grad();
+}
+
+double Td3Agent::actor_loss() {
+  concat_cols(states_, actor_.forward(states_), policy_in_);
+  const nn::Matrix& q = critic1_.forward(policy_in_);
+  double q_mean = 0.0;
+  for (std::size_t i = 0; i < q.rows(); ++i) q_mean += q(i, 0);
+  return -q_mean / static_cast<double>(q.rows());
 }
 
 std::vector<std::pair<const char*, nn::Mlp*>> Td3Agent::networks() {

@@ -94,13 +94,27 @@ class Td3Agent {
   void load(std::istream& is);
 
  private:
-  void update_actor(const nn::Matrix& states);
+  /// Policy-gradient step on the states packed in states_.
+  void update_actor();
+  /// -mean Q1(s, pi(s)) over states_, for reporting.
+  double actor_loss();
 
   Td3Config config_;
   nn::Mlp actor_, actor_target_;
   nn::Mlp critic1_, critic2_, critic1_target_, critic2_target_;
   nn::Adam actor_opt_, critic1_opt_, critic2_opt_;
   std::size_t steps_ = 0;
+  // train_step / twin_q workspaces, reused across calls so no batch matrix
+  // is reallocated per step. Each network remembers its forward input by
+  // address (nn/layers.hpp), so the inputs of a backward pass live here,
+  // not in locals.
+  nn::Matrix states_, actions_, next_states_;
+  nn::Matrix critic_in_;  ///< [s | a]
+  nn::Matrix target_in_;  ///< [s' | smoothed pi'(s')]
+  nn::Matrix policy_in_;  ///< [s | pi(s)]
+  nn::Matrix pair_in_;    ///< one [state | action] row for twin_q
+  nn::Matrix td_grad_, dq_, d_action_;
+  std::vector<double> targets_, td_errors_;
   // Metric handles resolved once at construction (registry lookups lock).
   obs::Counter* obs_train_steps_ = nullptr;
   obs::Gauge* obs_critic1_loss_ = nullptr;

@@ -68,37 +68,56 @@ StreamingService::MasterEntry& StreamingService::ensure_entry_locked(
 void StreamingService::train_model(const std::string& name,
                                    const sparksim::WorkloadSpec& workload,
                                    std::size_t iterations) {
-  std::unique_lock reg(registry_mutex_);
-  MasterEntry& entry = ensure_entry_locked(name);
-  std::unique_lock master(entry.mutex);
-  (void)entry.model.train_offline(workload, iterations);
-  std::scoped_lock state(state_mutex_);
-  entry.blob.reset();
-  scope_seeds_[name] =
-      std::make_shared<const std::string>(checkpoint_to_string(entry.model));
+  replace_model(name, [&](core::DeepCat& model) {
+    (void)model.train_offline(workload, iterations);
+  });
 }
 
 void StreamingService::load_model(const std::string& name, std::istream& is) {
-  std::unique_lock reg(registry_mutex_);
-  MasterEntry& entry = ensure_entry_locked(name);
-  std::unique_lock master(entry.mutex);
-  load_checkpoint(is, entry.model);
-  std::scoped_lock state(state_mutex_);
-  entry.blob.reset();
-  scope_seeds_[name] =
-      std::make_shared<const std::string>(checkpoint_to_string(entry.model));
+  replace_model(name,
+                [&](core::DeepCat& model) { load_checkpoint(is, model); });
 }
 
 void StreamingService::load_model_file(const std::string& name,
                                        const std::string& path) {
+  replace_model(name, [&](core::DeepCat& model) {
+    load_checkpoint_file(path, model);
+  });
+}
+
+void StreamingService::replace_model(
+    const std::string& name,
+    const std::function<void(core::DeepCat&)>& mutate) {
   std::unique_lock reg(registry_mutex_);
   MasterEntry& entry = ensure_entry_locked(name);
-  std::unique_lock master(entry.mutex);
-  load_checkpoint_file(path, entry.model);
+  {
+    // Sessions read the master's replay pools in place, so the master must
+    // stay frozen while any of them runs: drain this entry's sessions and
+    // hold its admissions until the replacement is published.
+    std::unique_lock state(state_mutex_);
+    entry.replacing = true;
+    completion_cv_.wait(state, [&entry] { return entry.in_flight == 0; });
+  }
+  // The scope seed is built under the entry lock alone, which is released
+  // before state_mutex_ is taken: submit() holds state_mutex_ while it
+  // takes the entry lock, so holding both the other way round deadlocks.
+  std::shared_ptr<const std::string> seed;
+  try {
+    std::unique_lock master(entry.mutex);
+    mutate(entry.model);
+    seed =
+        std::make_shared<const std::string>(checkpoint_to_string(entry.model));
+  } catch (...) {
+    std::scoped_lock state(state_mutex_);
+    entry.replacing = false;
+    completion_cv_.notify_all();
+    throw;
+  }
   std::scoped_lock state(state_mutex_);
   entry.blob.reset();
-  scope_seeds_[name] =
-      std::make_shared<const std::string>(checkpoint_to_string(entry.model));
+  scope_seeds_[name] = std::move(seed);
+  entry.replacing = false;
+  completion_cv_.notify_all();
 }
 
 void StreamingService::set_scope_seed(const std::string& base,
@@ -335,7 +354,10 @@ void StreamingService::submit(TuningRequest request,
   std::uint64_t epoch = 0;
   std::uint64_t sequence = 0;
   try {
-    std::scoped_lock state(state_mutex_);
+    std::unique_lock state(state_mutex_);
+    // A train_model/load_model of this entry is in progress: its master is
+    // not frozen, so admission waits for the replacement (replace_model).
+    completion_cv_.wait(state, [entry] { return !entry->replacing; });
     if (!entry->blob && !runner_) {
       // First admission of this epoch: serialize the frozen master once;
       // every session until the next flush clones from this shared blob.

@@ -95,7 +95,9 @@ class StreamingService {
   }
 
   /// Explicit model bootstrap (the CLI uses these for the default model;
-  /// other models load lazily from the registry on first request).
+  /// other models load lazily from the registry on first request). Safe
+  /// beside concurrent submits: the model's in-flight sessions finish
+  /// first, and its new admissions wait until the replacement is in place.
   void train_model(const std::string& name,
                    const sparksim::WorkloadSpec& workload,
                    std::size_t iterations);
@@ -220,12 +222,18 @@ class StreamingService {
     std::vector<PendingExperience> pending;
     bool dirty = false;  ///< merged experience since load (republish on evict)
     bool stub = false;   ///< test-runner entry without a trained master
+    bool replacing = false;  ///< replace_model running: admissions wait
   };
 
   [[nodiscard]] std::unique_ptr<MasterEntry> make_entry() const;
   /// Finds or lazily loads the model; throws on unknown names.
   [[nodiscard]] MasterEntry& resolve_entry(const std::string& name);
   [[nodiscard]] MasterEntry& ensure_entry_locked(const std::string& name);
+  /// train_model / load_model*: waits out the named master's sessions,
+  /// applies `mutate` to it with admissions held, and republishes its
+  /// scope seed (lock order in the definition).
+  void replace_model(const std::string& name,
+                     const std::function<void(core::DeepCat&)>& mutate);
   void complete_failed(const TuningRequest& request, const std::string& error,
                        const CompletionCallback& on_done);
   void on_complete(MasterEntry& entry, const TuningRequest& request,

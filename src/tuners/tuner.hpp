@@ -23,7 +23,10 @@ namespace deepcat::tuners {
 /// train steps, GP fits/predicts) times the per-operation constants below,
 /// calibrated once against bench_micro wall-clock measurements on the
 /// reference build. Figure data is thereby a pure function of the seeds,
-/// identical across machines, runs, and thread counts.
+/// identical across machines, runs, and thread counts. The constants stay
+/// fixed when the measured kernels get faster (kTrainStep is well above a
+/// measured step today): they define the paper's modelled tuning cost, and
+/// perfbench's tuners.rec_model_vs_wall reports the model-vs-wall gap.
 namespace rec_cost {
 inline constexpr double kActorForward = 9e-6;   ///< one policy-net forward
 inline constexpr double kCriticPair = 17e-6;    ///< min_q: two critic forwards

@@ -290,6 +290,50 @@ void BM_GpFitPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_GpFitPredict)->Arg(100)->Arg(400);
 
+// Per-session clone at serving shapes: hidden 128x128 and a master after
+// 600 offline TeraSort iterations, as `deepcat serve --train-iters 600`
+// trains it. Arg 0 rebuilds the session model from the master's serialized
+// checkpoint (checkpoint_from_string: CRC walk + decode, the reference
+// path); arg 1 copies it out of the in-memory master (checkpoint_clone
+// without the replay, which a session reads through a shared view). Both
+// include constructing the session's DeepCat.
+struct CloneBenchMaster {
+  core::DeepCatApiOptions api;
+  std::unique_ptr<core::DeepCat> model;
+  std::string blob;
+};
+
+CloneBenchMaster& clone_bench_master() {
+  static CloneBenchMaster master = [] {
+    CloneBenchMaster m;
+    m.api.tuner.seed = 1;
+    m.api.env.seed = 1001;
+    m.model = std::make_unique<core::DeepCat>(sparksim::cluster_a(), m.api);
+    (void)m.model->train_offline(
+        sparksim::make_workload(sparksim::WorkloadType::kTeraSort, 3.2), 600);
+    m.blob = service::checkpoint_to_string(*m.model);
+    return m;
+  }();
+  return master;
+}
+
+void BM_SessionClone(benchmark::State& state) {
+  CloneBenchMaster& master = clone_bench_master();
+  const bool in_memory = state.range(0) == 1;
+  for (auto _ : state) {
+    core::DeepCat session(sparksim::cluster_a(), master.api);
+    if (in_memory) {
+      service::checkpoint_clone(*master.model, session, /*with_replay=*/false);
+    } else {
+      service::checkpoint_from_string(master.blob, session);
+    }
+    benchmark::DoNotOptimize(session.tuner().agent().train_steps());
+  }
+  state.SetLabel(in_memory ? "in-memory" : "blob");
+  state.counters["blob_mb"] = static_cast<double>(master.blob.size()) / 1e6;
+}
+BENCHMARK(BM_SessionClone)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 // ---------------------------------------------------------------------------
 // Obs overhead: the streaming determinism workload (same shape as the
 // StreamingObsDeterminismTest stress — 8 real tuning sessions against a

@@ -665,7 +665,7 @@ int cmd_serve(const ParsedArgs& args, std::ostream& os) {
   const auto seed = static_cast<std::uint64_t>(args.number_or("seed", 1));
 
   // The batch runs on the streaming engine: every session is served
-  // against one epoch snapshot, then a single flush merges them all,
+  // against one frozen master epoch, then a single flush merges them all,
   // without master fine-tune steps.
   service::StreamingOptions options;
   options.service.cluster = args.flag_or("cluster", "a");

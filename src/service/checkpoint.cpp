@@ -78,20 +78,35 @@ std::string read_payload(std::istream& is, std::uint64_t len,
 constexpr std::uint8_t kReplayUniform = 0;
 constexpr std::uint8_t kReplayRdper = 1;
 
-struct Crc32Table {
-  std::uint32_t t[256];
-  constexpr Crc32Table() : t{} {
+// Slicing-by-8 tables: t[0] is the classic bytewise table, and t[k][i] is
+// the CRC of byte i followed by k zero bytes, so eight input bytes fold
+// into the register with eight independent lookups per step.
+struct Crc32Tables {
+  std::uint32_t t[8][256];
+  constexpr Crc32Tables() : t{} {
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
     }
   }
 };
 
-constexpr Crc32Table kCrcTable{};
+constexpr Crc32Tables kCrcTables{};
+
+std::uint32_t load_le32(const unsigned char* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
 
 // ---- byte-level codec ---------------------------------------------------
 
@@ -642,9 +657,17 @@ const std::string* find_section(const std::vector<Section>& sections,
 }  // namespace
 
 std::uint32_t crc32(const unsigned char* data, std::size_t size) noexcept {
+  const auto& t = kCrcTables.t;
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = kCrcTable.t[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint32_t lo = load_le32(data) ^ crc;
+    const std::uint32_t hi = load_le32(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -742,6 +765,86 @@ void checkpoint_from_string(const std::string& blob, core::DeepCat& model,
                             retrieval::ExperienceIndex* index) {
   std::istringstream is(blob, std::ios::binary);
   load_checkpoint(is, model, repository, index);
+}
+
+void checkpoint_clone(core::DeepCat& master, core::DeepCat& clone,
+                      bool with_replay) {
+  if (!master.tuner().has_agent()) {
+    throw CheckpointError(
+        "checkpoint_clone: model has no trained agent (call train_offline or "
+        "materialize first)");
+  }
+  if (master.tuner().options().use_rdper != clone.tuner().options().use_rdper) {
+    throw CheckpointError("checkpoint_clone: replay kind mismatch");
+  }
+  rl::Td3Agent& from = master.tuner().agent();
+  clone.tuner().materialize(from.config().state_dim,
+                            from.config().action_dim);
+  clone.set_next_env_seed(master.next_env_seed());
+  rl::Td3Agent& to = clone.tuner().agent();
+
+  // The same shape contract decode_nets enforces. Adam binds to these
+  // parameters, so matching networks also mean matching moment shapes.
+  auto src_nets = from.networks();
+  auto dst_nets = to.networks();
+  for (std::size_t n = 0; n < src_nets.size(); ++n) {
+    const auto src = src_nets[n].second->params();
+    const auto dst = dst_nets[n].second->params();
+    if (src.size() != dst.size()) {
+      throw CheckpointError("checkpoint_clone: tensor count mismatch in '" +
+                            std::string(src_nets[n].first) + "'");
+    }
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      if (src[i].value->rows() != dst[i].value->rows() ||
+          src[i].value->cols() != dst[i].value->cols()) {
+        throw CheckpointError("checkpoint_clone: shape mismatch in '" +
+                              std::string(src_nets[n].first) + "'");
+      }
+      std::copy_n(src[i].value->data(), src[i].value->size(),
+                  dst[i].value->data());
+    }
+  }
+  auto src_opts = from.optimizers();
+  auto dst_opts = to.optimizers();
+  for (std::size_t o = 0; o < src_opts.size(); ++o) {
+    const nn::Adam& src = *src_opts[o].second;
+    dst_opts[o].second->restore_state(src.first_moments(),
+                                      src.second_moments(), src.step_count());
+  }
+  to.set_train_steps(from.train_steps());
+
+  if (with_replay) {
+    const rl::ReplayBuffer* src = master.tuner().replay();
+    rl::ReplayBuffer* dst = clone.tuner().replay();
+    const auto* src_rdper = dynamic_cast<const rl::RdperReplay*>(src);
+    auto* dst_rdper = dynamic_cast<rl::RdperReplay*>(dst);
+    const auto* src_uniform = dynamic_cast<const rl::UniformReplay*>(src);
+    auto* dst_uniform = dynamic_cast<rl::UniformReplay*>(dst);
+    if (src_rdper != nullptr && dst_rdper != nullptr) {
+      if (src_rdper->config().reward_threshold !=
+              dst_rdper->config().reward_threshold ||
+          src_rdper->config().beta != dst_rdper->config().beta ||
+          src_rdper->capacity() != dst_rdper->capacity()) {
+        throw CheckpointError("checkpoint_clone: RDPER config mismatch");
+      }
+      const auto high = src_rdper->high_pool();
+      const auto low = src_rdper->low_pool();
+      dst_rdper->restore_pools({high.begin(), high.end()},
+                               src_rdper->high_cursor(),
+                               {low.begin(), low.end()},
+                               src_rdper->low_cursor());
+    } else if (src_uniform != nullptr && dst_uniform != nullptr) {
+      if (src_uniform->capacity() != dst_uniform->capacity()) {
+        throw CheckpointError("checkpoint_clone: capacity mismatch");
+      }
+      const auto storage = src_uniform->storage();
+      dst_uniform->restore_storage({storage.begin(), storage.end()},
+                                   src_uniform->cursor());
+    } else {
+      throw CheckpointError("checkpoint_clone: unsupported replay buffer type");
+    }
+  }
+  clone.tuner().rng().restore(master.tuner().rng().state());
 }
 
 void save_index(std::ostream& os, const retrieval::ExperienceIndex& index) {

@@ -96,14 +96,28 @@ void save_index_file(const std::string& path,
 [[nodiscard]] retrieval::ExperienceIndex load_index_file(
     const std::string& path);
 
-/// Stream-free conveniences used by the service layer to clone the master
-/// model into per-session tuners (serialize once, deserialize per session).
+/// Stream-free conveniences: a model's checkpoint as one string, and its
+/// restore. Scope forks, checkpoint_of and the reference session path
+/// (run_session over a blob) go through these.
 [[nodiscard]] std::string checkpoint_to_string(
     core::DeepCat& model, const gp::WorkloadRepository* repository = nullptr,
     const retrieval::ExperienceIndex* index = nullptr);
 void checkpoint_from_string(const std::string& blob, core::DeepCat& model,
                             gp::WorkloadRepository* repository = nullptr,
                             retrieval::ExperienceIndex* index = nullptr);
+
+/// In-memory equivalent of checkpoint_from_string(checkpoint_to_string(
+/// master), clone): copies exactly the state a round-trip restores — the
+/// six networks, the three Adam states, the train-step counter, the tuner
+/// RNG stream, the next environment seed and, when `with_replay`, the
+/// replay pools — without serializing. Pass with_replay = false when a
+/// shared view over the master's pools will replace the clone's replay.
+/// `master` is only read; callers that share it across threads hold its
+/// lock shared. `clone` must be configured like the master (the same
+/// contract as load_checkpoint). Throws CheckpointError when the master
+/// has no trained agent or the two disagree on replay kind or shapes.
+void checkpoint_clone(core::DeepCat& master, core::DeepCat& clone,
+                      bool with_replay = true);
 
 /// File-level helpers. Saving writes to `<path>.tmp` then renames, so a
 /// concurrent reader never observes a half-written checkpoint.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -136,11 +137,17 @@ rl::SampledBatch SharedRdperReplay::sample(std::size_t m, common::Rng& rng) {
   return batch;
 }
 
-SessionReport run_session(const std::string& blob,
-                          const core::DeepCatApiOptions& api,
-                          const TuningRequest& request,
-                          const rl::RdperReplay* master_pools,
-                          std::shared_mutex* master_mutex) {
+namespace {
+
+/// A session's restore step: fills the freshly constructed `dc` with the
+/// master's state and returns the shared pool view to install in place of
+/// its private replay, or null to keep the restored one.
+using RestoreFn =
+    std::function<std::unique_ptr<SharedRdperReplay>(core::DeepCat&)>;
+
+SessionReport run_session_with(const core::DeepCatApiOptions& api,
+                               const TuningRequest& request,
+                               const RestoreFn& restore) {
   SessionReport out;
   out.id = request.id;
   out.workload = request.workload;
@@ -161,7 +168,7 @@ SessionReport run_session(const std::string& blob,
     }
 
     core::DeepCat dc(cluster_for(request.cluster), api);
-    checkpoint_from_string(blob, dc);
+    std::unique_ptr<SharedRdperReplay> view = restore(dc);
 
     // Per-session determinism: both streams depend only on the request
     // seed, never on scheduling, so a session's report is reproducible for
@@ -170,13 +177,8 @@ SessionReport run_session(const std::string& blob,
         common::Rng(common::mix_seed(request.seed, kTunerStream));
     dc.set_next_env_seed(common::mix_seed(request.seed, kEnvStream));
 
-    SharedRdperReplay* shared = nullptr;
-    if (master_pools != nullptr && master_mutex != nullptr) {
-      auto view =
-          std::make_unique<SharedRdperReplay>(*master_pools, *master_mutex);
-      shared = view.get();
-      dc.tuner().set_replay(std::move(view));
-    }
+    SharedRdperReplay* shared = view.get();
+    if (view != nullptr) dc.tuner().set_replay(std::move(view));
 
     const tuners::TuneBudget budget{
         .max_steps = request.max_steps,
@@ -198,6 +200,43 @@ SessionReport run_session(const std::string& blob,
     out.error = e.what();
   }
   return out;
+}
+
+}  // namespace
+
+SessionReport run_session(const std::string& blob,
+                          const core::DeepCatApiOptions& api,
+                          const TuningRequest& request,
+                          const rl::RdperReplay* master_pools,
+                          std::shared_mutex* master_mutex) {
+  return run_session_with(api, request, [&](core::DeepCat& dc) {
+    checkpoint_from_string(blob, dc);
+    std::unique_ptr<SharedRdperReplay> view;
+    if (master_pools != nullptr && master_mutex != nullptr) {
+      view = std::make_unique<SharedRdperReplay>(*master_pools, *master_mutex);
+    }
+    return view;
+  });
+}
+
+SessionReport run_session(core::DeepCat& master,
+                          const core::DeepCatApiOptions& api,
+                          const TuningRequest& request,
+                          std::shared_mutex& master_mutex) {
+  return run_session_with(api, request, [&](core::DeepCat& dc) {
+    // Released before tuning: the view re-takes the lock shared per
+    // sample, and a recursive shared lock can deadlock behind a waiting
+    // writer.
+    std::shared_lock lock(master_mutex);
+    const auto* pools =
+        dynamic_cast<const rl::RdperReplay*>(master.tuner().replay());
+    checkpoint_clone(master, dc, /*with_replay=*/pools == nullptr);
+    std::unique_ptr<SharedRdperReplay> view;
+    if (pools != nullptr) {
+      view = std::make_unique<SharedRdperReplay>(*pools, master_mutex);
+    }
+    return view;
+  });
 }
 
 }  // namespace deepcat::service

@@ -2,8 +2,9 @@
 // offline-trained model (paper §2: train once, tune many). Sessions are
 // designed to run concurrently on the service thread pool:
 //
-//   - clone-on-tune: each session deserializes the master checkpoint blob
-//     into a private DeepCat instance, so its fine-tune gradient steps
+//   - clone-on-tune: each session copies the master's trainable state
+//     (networks, Adam states, counters) into a private DeepCat instance
+//     under the master's shared lock, so its fine-tune gradient steps
 //     never touch the shared networks;
 //   - shared read-mostly pools: when the master uses RDPER, the session
 //     samples the master's frozen P_high/P_low pools through a
@@ -14,8 +15,8 @@
 //     cross-request memory sharing, kept deterministic.
 //
 // Because the master is frozen between flush barriers, a session's result
-// is a pure function of (master checkpoint, request), independent of pool
-// size and of which other sessions run beside it.
+// is a pure function of (master state, request), independent of pool size
+// and of which other sessions run beside it.
 #pragma once
 
 #include <cstdint>
@@ -201,8 +202,9 @@ class SharedRdperReplay final : public rl::ReplayBuffer {
   std::vector<rl::Transition> scratch_;  ///< last sampled batch's storage
 };
 
-/// Runs one session against the master checkpoint `blob`. When
-/// `master_pools` is non-null the session samples them through a
+/// Runs one session against the master checkpoint `blob` — the reference
+/// path, which reproduces a served session from published bytes alone.
+/// When `master_pools` is non-null the session samples them through a
 /// SharedRdperReplay guarded by `master_mutex`; otherwise it fine-tunes on
 /// the private replay restored from the blob. Never throws: failures come
 /// back as ok = false with the error message.
@@ -211,5 +213,17 @@ class SharedRdperReplay final : public rl::ReplayBuffer {
                                         const TuningRequest& request,
                                         const rl::RdperReplay* master_pools,
                                         std::shared_mutex* master_mutex);
+
+/// Runs one session cloned straight from the in-memory `master`
+/// (checkpoint_clone under `master_mutex` held shared), bit-identical to
+/// run_session over checkpoint_to_string(master). An RDPER master's pools
+/// are sampled through a SharedRdperReplay, never copied; a uniform-replay
+/// master's buffer is copied. The master must stay frozen (no exclusive
+/// holder of `master_mutex` mutating it) until the session returns. Never
+/// throws.
+[[nodiscard]] SessionReport run_session(core::DeepCat& master,
+                                        const core::DeepCatApiOptions& api,
+                                        const TuningRequest& request,
+                                        std::shared_mutex& master_mutex);
 
 }  // namespace deepcat::service

@@ -6,7 +6,6 @@
 #include <tuple>
 #include <utility>
 
-#include "rl/replay_rdper.hpp"
 #include "service/checkpoint.hpp"
 #include "service/jsonl.hpp"
 #include "sparksim/hardware.hpp"
@@ -39,7 +38,6 @@ StreamingService::StreamingService(StreamingOptions options)
     obs_merges_ = &metrics->counter("stream.merges");
     obs_merged_transitions_ = &metrics->counter("stream.merged_transitions");
     obs_fine_tune_steps_ = &metrics->counter("stream.fine_tune_steps");
-    obs_snapshots_ = &metrics->counter("stream.snapshots");
     obs_evictions_ = &metrics->counter("stream.evictions");
     obs_warm_requests_ = &metrics->counter("stream.warm_requests");
     obs_warm_hits_ = &metrics->counter("stream.warm_hits");
@@ -99,8 +97,9 @@ void StreamingService::replace_model(
     completion_cv_.wait(state, [&entry] { return entry.in_flight == 0; });
   }
   // The scope seed is built under the entry lock alone, which is released
-  // before state_mutex_ is taken: submit() holds state_mutex_ while it
-  // takes the entry lock, so holding both the other way round deadlocks.
+  // before state_mutex_ is taken: flush() holds state_mutex_ while it
+  // merges under the entry lock, so holding both the other way round
+  // deadlocks.
   std::shared_ptr<const std::string> seed;
   try {
     std::unique_lock master(entry.mutex);
@@ -114,7 +113,6 @@ void StreamingService::replace_model(
     throw;
   }
   std::scoped_lock state(state_mutex_);
-  entry.blob.reset();
   scope_seeds_[name] = std::move(seed);
   entry.replacing = false;
   completion_cv_.notify_all();
@@ -349,29 +347,16 @@ void StreamingService::submit(TuningRequest request,
     return;
   }
 
-  std::shared_ptr<const std::string> blob;
-  const rl::RdperReplay* master_pools = nullptr;
   std::uint64_t epoch = 0;
   std::uint64_t sequence = 0;
-  try {
+  {
     std::unique_lock state(state_mutex_);
     // A train_model/load_model of this entry is in progress: its master is
     // not frozen, so admission waits for the replacement (replace_model).
+    // Once admitted, the session keeps the master frozen at this epoch:
+    // merges, replacements and evictions wait for its in-flight count.
     completion_cv_.wait(state, [entry] { return !entry->replacing; });
-    if (!entry->blob && !runner_) {
-      // First admission of this epoch: serialize the frozen master once;
-      // every session until the next flush clones from this shared blob.
-      std::shared_lock master(entry->mutex);
-      entry->blob = std::make_shared<const std::string>(
-          checkpoint_to_string(entry->model));
-      if (obs_snapshots_ != nullptr) obs_snapshots_->add(1);
-    }
-    blob = entry->blob;
     epoch = entry->epoch;
-    if (!runner_) {
-      master_pools = dynamic_cast<const rl::RdperReplay*>(
-          entry->model.tuner().replay());
-    }
     sequence = next_sequence_++;
     entry->last_used = sequence;
     ++in_flight_;
@@ -379,9 +364,6 @@ void StreamingService::submit(TuningRequest request,
     if (obs_queue_depth_ != nullptr) {
       obs_queue_depth_->set(static_cast<double>(in_flight_));
     }
-  } catch (const std::exception& e) {
-    complete_failed(request, e.what(), on_done);
-    return;
   }
 
   if (obs_admitted_ != nullptr) obs_admitted_->add(1);
@@ -401,9 +383,8 @@ void StreamingService::submit(TuningRequest request,
       options_.reply_timings && tracer != nullptr && !request.trace_id.empty();
   const std::uint64_t t_submit = timed ? tracer->clock().now_ns() : 0;
 
-  (void)pool_.submit([this, entry, blob = std::move(blob), master_pools,
-                      epoch, sequence, request_span, tracer, timed, t_submit,
-                      request = std::move(request),
+  (void)pool_.submit([this, entry, epoch, sequence, request_span, tracer,
+                      timed, t_submit, request = std::move(request),
                       on_done = std::move(on_done)] {
     SessionReport report;
     const std::uint64_t t_start = timed ? tracer->clock().now_ns() : 0;
@@ -421,7 +402,7 @@ void StreamingService::submit(TuningRequest request,
         // fine-tune losses are the model's trajectory; a clone's would
         // flood the rings with per-session noise.
         api.tuner.obs.series = nullptr;
-        report = run_session(*blob, api, request, master_pools, &entry->mutex);
+        report = run_session(entry->model, api, request, entry->mutex);
       }
     }
     const std::uint64_t t_done = timed ? tracer->clock().now_ns() : 0;
@@ -553,7 +534,6 @@ std::size_t StreamingService::merge_entry_locked(MasterEntry& entry) {
     totals_.record_merge(0, 0);
     entry.pending.clear();
     ++entry.epoch;
-    entry.blob.reset();
     return 0;
   }
   // Canonical merge order — ascending (id, seed, workload), never arrival
@@ -593,7 +573,6 @@ std::size_t StreamingService::merge_entry_locked(MasterEntry& entry) {
   }
   entry.pending.clear();
   ++entry.epoch;
-  entry.blob.reset();
   entry.dirty = true;
   return merged;
 }

@@ -5,10 +5,12 @@
 // stdin/stdout over a socketpair) and serve_batch below. Determinism is
 // preserved by a sequencer discipline instead of a barrier:
 //
-//   - sessions are pure functions of (master snapshot, request): every
-//     request admitted between two flush boundaries is served against the
-//     same frozen epoch snapshot of its model, so a report never depends
-//     on thread count or arrival order;
+//   - sessions are pure functions of (master epoch, request): the master
+//     stays frozen while any of its sessions is in flight, and each
+//     session copies its trainable state straight out of it under the
+//     entry's shared lock, so every request admitted between two flush
+//     boundaries is served against the same epoch of its model and a
+//     report never depends on thread count or arrival order;
 //   - at a flush boundary (explicit FLSH frame, end of stream, or model
 //     eviction) the completed sessions' experience is merged into the
 //     master RDPER pools in CANONICAL order — ascending (id, seed,
@@ -131,7 +133,7 @@ class StreamingService {
   [[nodiscard]] std::optional<std::string> warm_error(
       const TuningRequest& request) const;
 
-  /// Admits one request; returns immediately. Unknown models and snapshot
+  /// Admits one request; returns immediately. Unknown models and session
   /// failures surface as a completed ok=false report, never an exception.
   void submit(TuningRequest request);
 
@@ -206,9 +208,9 @@ class StreamingService {
     std::vector<rl::Transition> transitions;
   };
 
-  /// One resident master model. `mutex` freezes the model while sessions
-  /// sample its pools (shared) and is taken exclusively for merges; the
-  /// bookkeeping fields are guarded by state_mutex_.
+  /// One resident master model. `mutex` is held shared while sessions
+  /// clone the model and sample its pools, and exclusively for merges and
+  /// replacements; the bookkeeping fields are guarded by state_mutex_.
   struct MasterEntry {
     MasterEntry(const sparksim::ClusterSpec& cluster,
                 const core::DeepCatApiOptions& api)
@@ -216,7 +218,6 @@ class StreamingService {
     core::DeepCat model;
     std::shared_mutex mutex;
     std::uint64_t epoch = 1;
-    std::shared_ptr<const std::string> blob;  ///< current epoch snapshot
     std::size_t in_flight = 0;
     std::uint64_t last_used = 0;  ///< admission sequence, for LRU eviction
     std::vector<PendingExperience> pending;
@@ -290,7 +291,6 @@ class StreamingService {
   obs::Counter* obs_merges_ = nullptr;
   obs::Counter* obs_merged_transitions_ = nullptr;
   obs::Counter* obs_fine_tune_steps_ = nullptr;
-  obs::Counter* obs_snapshots_ = nullptr;
   obs::Counter* obs_evictions_ = nullptr;
   obs::Counter* obs_warm_requests_ = nullptr;
   obs::Counter* obs_warm_hits_ = nullptr;
@@ -312,7 +312,7 @@ struct BatchResult {
 
 /// Serves `requests` as one batch: submits them all, waits for every
 /// session, then merges once with a single flush. Every session of the
-/// batch is served against the same epoch snapshot. Call it on a service
+/// batch is served against the same master epoch. Call it on a service
 /// with no other unconsumed reports (it drains the completion queue).
 [[nodiscard]] BatchResult serve_batch(
     StreamingService& service, const std::vector<TuningRequest>& requests);

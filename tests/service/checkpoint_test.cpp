@@ -10,6 +10,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/deepcat_api.hpp"
 #include "rl/replay_rdper.hpp"
@@ -270,6 +271,93 @@ TEST(CheckpointTest, WorkloadRepositoryRoundTripsWhenRequested) {
   EXPECT_EQ(obs[0].config, (std::vector<double>{0.1, 0.2}));
   EXPECT_EQ(obs[0].metrics, (std::vector<double>{0.3, 0.4}));
   EXPECT_EQ(obs[0].performance, 12.5);
+}
+
+// Slicing-by-8 must give the bytewise table CRC's values for every length
+// and every alignment of the 8-byte steps, including the empty input and
+// the tails shorter than one step.
+std::uint32_t bytewise_crc32(const unsigned char* data, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(CheckpointTest, Crc32KnownAnswer) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(reinterpret_cast<const unsigned char*>(check.data()),
+                  check.size()),
+            0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+TEST(CheckpointTest, Crc32MatchesBytewiseReferenceAtEveryOffset) {
+  std::vector<unsigned char> buf(64 + 8);
+  std::uint32_t x = 0x9E3779B9u;
+  for (auto& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(crc32(buf.data() + offset, len),
+                bytewise_crc32(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+// checkpoint_clone is the in-memory form of a checkpoint round-trip, so a
+// clone must serialize to the master's exact bytes — networks, Adam
+// states, counters, RNG stream, environment seed and replay pools — for
+// both replay kinds, even when the clone was built with another seed.
+TEST(CheckpointTest, InMemoryCloneMatchesRoundTrip) {
+  for (const bool use_rdper : {true, false}) {
+    SCOPED_TRACE(use_rdper ? "RDPER master" : "uniform-replay master");
+    core::DeepCatApiOptions options = small_options(21);
+    options.tuner.use_rdper = use_rdper;
+    core::DeepCat master(sparksim::cluster_a(), options);
+    // Past one 64-row batch, so the Adam states and train-step counter the
+    // clone must copy are no longer their initial values.
+    (void)master.train_offline(
+        sparksim::make_workload(WorkloadType::kTeraSort, 3.2), 100);
+    ASSERT_GT(master.tuner().agent().train_steps(), 0u);
+    const std::string master_bytes = checkpoint_to_string(master);
+
+    core::DeepCatApiOptions clone_options = small_options(9090);
+    clone_options.tuner.use_rdper = use_rdper;
+    core::DeepCat clone(sparksim::cluster_b(), clone_options);
+    checkpoint_clone(master, clone);
+    EXPECT_TRUE(checkpoint_to_string(clone) == master_bytes);
+
+    core::DeepCat from_blob(sparksim::cluster_b(), clone_options);
+    checkpoint_from_string(master_bytes, from_blob);
+    const auto workload = sparksim::make_workload(WorkloadType::kPageRank, 0.5);
+    expect_reports_identical(clone.tune_online(workload, {.max_steps = 2}),
+                             from_blob.tune_online(workload, {.max_steps = 2}));
+
+    // Without the replay the clone keeps its own empty buffer: that is
+    // what a session installs its shared view over.
+    core::DeepCat no_replay(sparksim::cluster_a(), clone_options);
+    checkpoint_clone(master, no_replay, /*with_replay=*/false);
+    EXPECT_EQ(no_replay.tuner().replay()->size(), 0u);
+  }
+}
+
+TEST(CheckpointTest, CloneRefusesUntrainedMasterAndReplayKindMismatch) {
+  core::DeepCat untrained(sparksim::cluster_a(), small_options(3));
+  core::DeepCat target(sparksim::cluster_a(), small_options(4));
+  EXPECT_THROW(checkpoint_clone(untrained, target), CheckpointError);
+
+  core::DeepCat master = trained_model(22, 20);
+  core::DeepCatApiOptions uniform = small_options(5);
+  uniform.tuner.use_rdper = false;
+  core::DeepCat uniform_model(sparksim::cluster_a(), uniform);
+  EXPECT_THROW(checkpoint_clone(master, uniform_model), CheckpointError);
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Lock-order stress for StreamingService: train_model / load_model replace
-// a master while submit() admits sessions against the same name. submit()
-// holds the scheduler lock while it snapshots the master under the entry
-// lock, so a replace that held the entry lock while taking the scheduler
-// lock could deadlock. A watchdog turns such a hang into a failing exit
-// instead of a stuck test; under ThreadSanitizer (detect_deadlocks) the
-// inverted order is reported even when the interleaving does not hang.
+// a master while submit() admits sessions against the same name and those
+// sessions clone the master under its entry lock. flush() holds the
+// scheduler lock while it merges under the entry lock, so a replace that
+// held the entry lock while taking the scheduler lock could deadlock. A
+// watchdog turns such a hang into a failing exit instead of a stuck test;
+// under ThreadSanitizer (detect_deadlocks) the inverted order is reported
+// even when the interleaving does not hang.
 #include "service/streaming.hpp"
 
 #include <gtest/gtest.h>

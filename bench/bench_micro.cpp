@@ -91,6 +91,7 @@
 #include "obs/prometheus.hpp"
 #include "obs/tracer.hpp"
 #include "core/deepcat_api.hpp"
+#include "nn/adam.hpp"
 #include "nn/mlp.hpp"
 #include "retrieval/index.hpp"
 #include "rl/replay_rdper.hpp"
@@ -233,8 +234,54 @@ void BM_GemmNt64x128x128(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmNt64x128x128);
 
-void BM_TwinQIndicator(benchmark::State& state) {
-  // The cost of one Twin-Q Optimizer probe: two critic forward passes.
+// The critic head's input gradient dX = G * W^T: m=64 rows, n=128 input
+// features, k=1 output feature.
+void BM_GemmNt64x128x1(benchmark::State& state) {
+  constexpr std::size_t m = 64, n = 128, k = 1;
+  common::Rng rng(8);
+  std::vector<double> a(m * k), b(n * k), c(m * n, 0.0);
+  for (double& v : a) v = rng.normal();
+  for (double& v : b) v = rng.normal();
+  for (auto _ : state) {
+    common::simd::gemm_nt(m, n, k, a.data(), k, b.data(), k, c.data(), n);
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFLOPS"] = benchmark::Counter(
+      2.0 * m * n * k * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_GemmNt64x128x1);
+
+// One critic optimizer step at serving state: a served session's critic
+// optimizers start past t = 356, where the first bias correction is 1.0.
+void BM_AdamCritic(benchmark::State& state) {
+  common::Rng rng(9);
+  nn::Mlp critic(kCriticDims, rng);
+  nn::Adam opt(critic.params(), {.lr = 1e-3, .grad_clip = 5.0});
+  for (const nn::Param& p : critic.params()) {
+    for (double& g : p.grad->flat()) g = 1e-2 * rng.normal();
+  }
+  opt.restore_state(opt.first_moments(), opt.second_moments(), 537);
+  for (auto _ : state) {
+    opt.step();
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_AdamCritic);
+
+// One target-critic soft update (tau = 0.005, TD3's default).
+void BM_SoftUpdate(benchmark::State& state) {
+  common::Rng rng(10);
+  nn::Mlp critic(kCriticDims, rng);
+  nn::Mlp target(kCriticDims, rng);
+  for (auto _ : state) {
+    target.soft_update_from(critic, 0.005);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SoftUpdate);
+
+void BM_MinQ(benchmark::State& state) {
+  // The cost of one Twin-Q Optimizer probe: two 1-row critic forwards.
   common::Rng rng(4);
   rl::Td3Config config;
   config.state_dim = 9;
@@ -245,7 +292,7 @@ void BM_TwinQIndicator(benchmark::State& state) {
     benchmark::DoNotOptimize(agent.min_q(s, a));
   }
 }
-BENCHMARK(BM_TwinQIndicator);
+BENCHMARK(BM_MinQ);
 
 void BM_RdperSample(benchmark::State& state) {
   common::Rng rng(5);

@@ -130,18 +130,49 @@ void axpy_scalar(double alpha, const double* x, double* y,
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
-void adam_update_scalar(double* value, const double* grad, double* m,
-                        double* v, std::size_t n, double scale, double beta1,
-                        double beta2, double bc1, double bc2, double lr,
-                        double eps) noexcept {
+// kUnitBc1 drops the m / bc1 divide, exact when bc1 == 1.0 (x / 1.0 == x).
+template <bool kUnitBc1>
+void adam_update_scalar_impl(double* value, const double* grad, double* m,
+                             double* v, std::size_t n, double scale,
+                             double beta1, double beta2, double bc1,
+                             double bc2, double lr, double eps) noexcept {
   for (std::size_t i = 0; i < n; ++i) {
     const double g = grad[i] * scale;
     m[i] = beta1 * m[i] + (1.0 - beta1) * g;
     v[i] = beta2 * v[i] + (1.0 - beta2) * g * g;
-    const double m_hat = m[i] / bc1;
+    const double m_hat = kUnitBc1 ? m[i] : m[i] / bc1;
     const double v_hat = v[i] / bc2;
     value[i] -= lr * m_hat / (std::sqrt(v_hat) + eps);
   }
+}
+
+// Never inlined: the vector tiers call it for their tails, and inlined into
+// a target("fma") function its mul + add pairs could be contracted.
+__attribute__((noinline)) void adam_update_scalar(
+    double* value, const double* grad, double* m, double* v, std::size_t n,
+    double scale, double beta1, double beta2, double bc1, double bc2,
+    double lr, double eps) noexcept {
+  if (bc1 == 1.0) {
+    adam_update_scalar_impl<true>(value, grad, m, v, n, scale, beta1, beta2,
+                                  bc1, bc2, lr, eps);
+  } else {
+    adam_update_scalar_impl<false>(value, grad, m, v, n, scale, beta1, beta2,
+                                   bc1, bc2, lr, eps);
+  }
+}
+
+// Compiled for the baseline ISA, which has no FMA: both products and the sum
+// round separately.
+void soft_update_scalar(double* dst, const double* src, std::size_t n,
+                        double tau) noexcept {
+  const double keep = 1.0 - tau;
+  for (std::size_t i = 0; i < n; ++i) dst[i] = tau * src[i] + keep * dst[i];
+}
+
+// What Store::kSet means on the paths that run the accumulating loops.
+void zero_block(std::size_t m, std::size_t n, double* c,
+                std::size_t ldc) noexcept {
+  for (std::size_t i = 0; i < m; ++i) std::fill_n(c + i * ldc, n, 0.0);
 }
 
 void adam_update_clipped_scalar(const AdamTensor* tensors, std::size_t count,
@@ -221,12 +252,13 @@ void relu_grad_scalar(const double* g, const double* y, double* out,
   }
 }
 
+template <bool kSet>
 void col_sums_add_scalar(std::size_t rows, std::size_t cols, const double* a,
                          std::size_t lda, double* out) noexcept {
   for (std::size_t j = 0; j < cols; ++j) {
     double s = 0.0;
     for (std::size_t r = 0; r < rows; ++r) s += a[r * lda + j];
-    out[j] += s;
+    out[j] = (kSet ? 0.0 : out[j]) + s;
   }
 }
 
@@ -290,7 +322,7 @@ DEEPCAT_TARGET_AVX2 double dot_avx2(const double* a, const double* b,
   }
   double s = hsum(_mm256_add_pd(_mm256_add_pd(acc0, acc1),
                                 _mm256_add_pd(acc2, acc3)));
-  for (; i < n; ++i) s += a[i] * b[i];
+  for (; i < n; ++i) s = std::fma(a[i], b[i], s);
   return s;
 }
 
@@ -315,7 +347,7 @@ DEEPCAT_TARGET_AVX2 double squared_distance_avx2(const double* a,
   double s = hsum(_mm256_add_pd(acc0, acc1));
   for (; i < n; ++i) {
     const double d = a[i] - b[i];
-    s += d * d;
+    s = std::fma(d, d, s);
   }
   return s;
 }
@@ -375,14 +407,59 @@ DEEPCAT_TARGET_AVX2 void axpy_avx2(double alpha, const double* x, double* y,
         y + i, _mm256_fmadd_pd(va, _mm256_loadu_pd(x + i),
                                _mm256_loadu_pd(y + i)));
   }
-  for (; i < n; ++i) y[i] += alpha * x[i];
+  for (; i < n; ++i) y[i] = std::fma(alpha, x[i], y[i]);
 }
 
-DEEPCAT_TARGET_AVX2 void adam_update_avx2(double* value, const double* grad,
-                                          double* m, double* v, std::size_t n,
-                                          double scale, double beta1,
-                                          double beta2, double bc1, double bc2,
-                                          double lr, double eps) noexcept {
+// Keeps a product out of FMA contraction: GCC contracts a multiply feeding
+// an add into one FMA even across vector intrinsics (its default is
+// -ffp-contract=fast), which would round once where the scalar formula
+// rounds twice. The empty asm makes the product opaque to that pass.
+DEEPCAT_TARGET_AVX2 inline __m256d rounded(__m256d v) noexcept {
+  __asm__("" : "+x"(v));
+  return v;
+}
+
+// The output read of an accumulating kernel: the stored value, or +0.0
+// under Store::kSet (the zero-filled output it stands for).
+template <bool kSet>
+inline double c_in(const double* p) noexcept {
+  if constexpr (kSet) {
+    return 0.0;
+  } else {
+    return *p;
+  }
+}
+
+template <bool kSet>
+DEEPCAT_TARGET_AVX2 inline __m256d c_in_avx2(const double* p) noexcept {
+  if constexpr (kSet) {
+    return _mm256_setzero_pd();
+  } else {
+    return _mm256_loadu_pd(p);
+  }
+}
+
+// C(r) (+)= lane r of `s` for four rows ldc apart: the C += s epilogue of
+// four per-row chains.
+template <bool kSet>
+DEEPCAT_TARGET_AVX2 inline void add_rows_avx2(__m256d s, double* c,
+                                              std::size_t ldc) noexcept {
+  if (ldc == 1) {
+    _mm256_storeu_pd(c, _mm256_add_pd(c_in_avx2<kSet>(c), s));
+    return;
+  }
+  alignas(32) double lane[4];
+  _mm256_store_pd(lane, s);
+  for (std::size_t r = 0; r < 4; ++r) {
+    c[r * ldc] = c_in<kSet>(c + r * ldc) + lane[r];
+  }
+}
+
+template <bool kUnitBc1>
+DEEPCAT_TARGET_AVX2 void adam_update_avx2_impl(
+    double* value, const double* grad, double* m, double* v, std::size_t n,
+    double scale, double beta1, double beta2, double bc1, double bc2,
+    double lr, double eps) noexcept {
   const __m256d vscale = _mm256_set1_pd(scale);
   const __m256d vb1 = _mm256_set1_pd(beta1);
   const __m256d vb2 = _mm256_set1_pd(beta2);
@@ -401,7 +478,7 @@ DEEPCAT_TARGET_AVX2 void adam_update_avx2(double* value, const double* grad,
                                        _mm256_mul_pd(vomb2, _mm256_mul_pd(g, g)));
     _mm256_storeu_pd(m + i, mi);
     _mm256_storeu_pd(v + i, vi);
-    const __m256d m_hat = _mm256_div_pd(mi, vbc1);
+    const __m256d m_hat = kUnitBc1 ? mi : _mm256_div_pd(mi, vbc1);
     const __m256d v_hat = _mm256_div_pd(vi, vbc2);
     const __m256d denom = _mm256_add_pd(_mm256_sqrt_pd(v_hat), veps);
     const __m256d update =
@@ -412,6 +489,20 @@ DEEPCAT_TARGET_AVX2 void adam_update_avx2(double* value, const double* grad,
   if (i < n) {
     adam_update_scalar(value + i, grad + i, m + i, v + i, n - i, scale, beta1,
                        beta2, bc1, bc2, lr, eps);
+  }
+}
+
+DEEPCAT_TARGET_AVX2 void adam_update_avx2(double* value, const double* grad,
+                                          double* m, double* v, std::size_t n,
+                                          double scale, double beta1,
+                                          double beta2, double bc1, double bc2,
+                                          double lr, double eps) noexcept {
+  if (bc1 == 1.0) {
+    adam_update_avx2_impl<true>(value, grad, m, v, n, scale, beta1, beta2,
+                                bc1, bc2, lr, eps);
+  } else {
+    adam_update_avx2_impl<false>(value, grad, m, v, n, scale, beta1, beta2,
+                                 bc1, bc2, lr, eps);
   }
 }
 
@@ -438,6 +529,105 @@ DEEPCAT_TARGET_AVX2 void adam_update_clipped_avx2(
   }
 }
 
+DEEPCAT_TARGET_AVX2 void soft_update_avx2(double* dst, const double* src,
+                                          std::size_t n, double tau) noexcept {
+  const __m256d vtau = _mm256_set1_pd(tau);
+  const __m256d vkeep = _mm256_set1_pd(1.0 - tau);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d s = rounded(_mm256_mul_pd(vtau, _mm256_loadu_pd(src + i)));
+    const __m256d d = rounded(_mm256_mul_pd(vkeep, _mm256_loadu_pd(dst + i)));
+    _mm256_storeu_pd(dst + i, _mm256_add_pd(s, d));
+  }
+  if (i < n) {
+    const __m256i lanes = _mm256_set_epi64x(3, 2, 1, 0);
+    const __m256i mask = _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(static_cast<long long>(n - i)), lanes);
+    const __m256d s =
+        rounded(_mm256_mul_pd(vtau, _mm256_maskload_pd(src + i, mask)));
+    const __m256d d =
+        rounded(_mm256_mul_pd(vkeep, _mm256_maskload_pd(dst + i, mask)));
+    _mm256_maskstore_pd(dst + i, mask, _mm256_add_pd(s, d));
+  }
+}
+
+// C(m x 1) += A(m x k) b for a row-major A — the n == 1 case. Lane r of an
+// accumulator is row r's FMA chain from +0.0 in ascending p, added to C at
+// the end: the arithmetic of the leftover-column loop below. 4x4 blocks of
+// A are transposed in registers so one FMA advances four rows' chains; G
+// accumulators (4G rows) are in flight at once.
+template <std::size_t G>
+DEEPCAT_TARGET_AVX2 void gemm_nn_n1_rows_avx2(std::size_t k, const double* a,
+                                              std::size_t lda,
+                                              const double* b, std::size_t ldb,
+                                              double* c,
+                                              std::size_t ldc) noexcept {
+  __m256d acc[G];
+#pragma GCC unroll 4
+  for (std::size_t g = 0; g < G; ++g) acc[g] = _mm256_setzero_pd();
+  std::size_t p = 0;
+  for (; p + 4 <= k; p += 4) {
+    const __m256d b0 = _mm256_set1_pd(b[(p + 0) * ldb]);
+    const __m256d b1 = _mm256_set1_pd(b[(p + 1) * ldb]);
+    const __m256d b2 = _mm256_set1_pd(b[(p + 2) * ldb]);
+    const __m256d b3 = _mm256_set1_pd(b[(p + 3) * ldb]);
+#pragma GCC unroll 4
+    for (std::size_t g = 0; g < G; ++g) {
+      const double* ag = a + 4 * g * lda + p;
+      const __m256d r0 = _mm256_loadu_pd(ag);
+      const __m256d r1 = _mm256_loadu_pd(ag + lda);
+      const __m256d r2 = _mm256_loadu_pd(ag + 2 * lda);
+      const __m256d r3 = _mm256_loadu_pd(ag + 3 * lda);
+      const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
+      const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
+      const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
+      const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
+      // Columns p, p + 1, p + 2, p + 3 of the four rows, in order.
+      const __m256d c0 = _mm256_permute2f128_pd(t0, t2, 0x20);
+      const __m256d c1 = _mm256_permute2f128_pd(t1, t3, 0x20);
+      const __m256d c2 = _mm256_permute2f128_pd(t0, t2, 0x31);
+      const __m256d c3 = _mm256_permute2f128_pd(t1, t3, 0x31);
+      acc[g] = _mm256_fmadd_pd(c0, b0, acc[g]);
+      acc[g] = _mm256_fmadd_pd(c1, b1, acc[g]);
+      acc[g] = _mm256_fmadd_pd(c2, b2, acc[g]);
+      acc[g] = _mm256_fmadd_pd(c3, b3, acc[g]);
+    }
+  }
+  for (; p < k; ++p) {
+    const __m256d bp = _mm256_set1_pd(b[p * ldb]);
+#pragma GCC unroll 4
+    for (std::size_t g = 0; g < G; ++g) {
+      const double* ag = a + 4 * g * lda + p;
+      const __m256d col =
+          _mm256_set_pd(ag[3 * lda], ag[2 * lda], ag[lda], ag[0]);
+      acc[g] = _mm256_fmadd_pd(col, bp, acc[g]);
+    }
+  }
+#pragma GCC unroll 4
+  for (std::size_t g = 0; g < G; ++g) {
+    add_rows_avx2<false>(acc[g], c + 4 * g * ldc, ldc);
+  }
+}
+
+DEEPCAT_TARGET_AVX2 void gemm_nn_n1_avx2(std::size_t m, std::size_t k,
+                                         const double* a, std::size_t lda,
+                                         const double* b, std::size_t ldb,
+                                         double* c, std::size_t ldc) noexcept {
+  std::size_t i = 0;
+  for (; i + 16 <= m; i += 16) {
+    gemm_nn_n1_rows_avx2<4>(k, a + i * lda, lda, b, ldb, c + i * ldc, ldc);
+  }
+  for (; i + 4 <= m; i += 4) {
+    gemm_nn_n1_rows_avx2<1>(k, a + i * lda, lda, b, ldb, c + i * ldc, ldc);
+  }
+  for (; i < m; ++i) {
+    const double* arow = a + i * lda;
+    double s = 0.0;
+    for (std::size_t p = 0; p < k; ++p) s = std::fma(arow[p], b[p * ldb], s);
+    c[i * ldc] += s;
+  }
+}
+
 // 4x8 register-blocked micro-kernel: 8 accumulator registers stay resident
 // across the whole k loop; A elements are broadcast, B rows are streamed.
 DEEPCAT_TARGET_AVX2 void gemm_nn_avx2(std::size_t m, std::size_t n,
@@ -445,6 +635,10 @@ DEEPCAT_TARGET_AVX2 void gemm_nn_avx2(std::size_t m, std::size_t n,
                                       std::size_t lda, const double* b,
                                       std::size_t ldb, double* c,
                                       std::size_t ldc) noexcept {
+  if (n == 1) {
+    gemm_nn_n1_avx2(m, k, a, lda, b, ldb, c, ldc);
+    return;
+  }
   std::size_t i = 0;
   for (; i + 4 <= m; i += 4) {
     const double* a0 = a + (i + 0) * lda;
@@ -510,10 +704,10 @@ DEEPCAT_TARGET_AVX2 void gemm_nn_avx2(std::size_t m, std::size_t n,
       double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
       for (std::size_t p = 0; p < k; ++p) {
         const double bv = b[p * ldb + j];
-        s0 += a0[p] * bv;
-        s1 += a1[p] * bv;
-        s2 += a2[p] * bv;
-        s3 += a3[p] * bv;
+        s0 = std::fma(a0[p], bv, s0);
+        s1 = std::fma(a1[p], bv, s1);
+        s2 = std::fma(a2[p], bv, s2);
+        s3 = std::fma(a3[p], bv, s3);
       }
       c[(i + 0) * ldc + j] += s0;
       c[(i + 1) * ldc + j] += s1;
@@ -523,45 +717,118 @@ DEEPCAT_TARGET_AVX2 void gemm_nn_avx2(std::size_t m, std::size_t n,
   }
   for (; i < m; ++i) {
     const double* arow = a + i * lda;
+    double* crow = c + i * ldc;
     std::size_t j = 0;
+    // A single row (the Twin-Q screen, act) has no neighbouring rows to
+    // interleave, so eight accumulators over 32 columns hide the FMA
+    // latency that two cannot; each column keeps its chain from C.
+    for (; j + 32 <= n; j += 32) {
+      __m256d acc[8];
+#pragma GCC unroll 8
+      for (std::size_t q = 0; q < 8; ++q) {
+        acc[q] = _mm256_loadu_pd(crow + j + 4 * q);
+      }
+      for (std::size_t p = 0; p < k; ++p) {
+        const __m256d av = _mm256_set1_pd(arow[p]);
+        const double* brow = b + p * ldb + j;
+#pragma GCC unroll 8
+        for (std::size_t q = 0; q < 8; ++q) {
+          acc[q] = _mm256_fmadd_pd(av, _mm256_loadu_pd(brow + 4 * q), acc[q]);
+        }
+      }
+#pragma GCC unroll 8
+      for (std::size_t q = 0; q < 8; ++q) {
+        _mm256_storeu_pd(crow + j + 4 * q, acc[q]);
+      }
+    }
     for (; j + 8 <= n; j += 8) {
-      __m256d c0 = _mm256_loadu_pd(c + i * ldc + j);
-      __m256d c1 = _mm256_loadu_pd(c + i * ldc + j + 4);
+      __m256d c0 = _mm256_loadu_pd(crow + j);
+      __m256d c1 = _mm256_loadu_pd(crow + j + 4);
       for (std::size_t p = 0; p < k; ++p) {
         const __m256d av = _mm256_set1_pd(arow[p]);
         c0 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b + p * ldb + j), c0);
         c1 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b + p * ldb + j + 4), c1);
       }
-      _mm256_storeu_pd(c + i * ldc + j, c0);
-      _mm256_storeu_pd(c + i * ldc + j + 4, c1);
+      _mm256_storeu_pd(crow + j, c0);
+      _mm256_storeu_pd(crow + j + 4, c1);
     }
     for (; j < n; ++j) {
       double s = 0.0;
-      for (std::size_t p = 0; p < k; ++p) s += arow[p] * b[p * ldb + j];
-      c[i * ldc + j] += s;
+      for (std::size_t p = 0; p < k; ++p) {
+        s = std::fma(arow[p], b[p * ldb + j], s);
+      }
+      crow[j] += s;
     }
+  }
+}
+
+// C(m x 1) (+)= A^T b for a (k x m) A — the n == 1 case. Column p of A^T is
+// row p of A, contiguous across output rows, so lane r of an accumulator
+// is row r's FMA chain from +0.0 in ascending p with plain vector loads.
+template <bool kSet>
+DEEPCAT_TARGET_AVX2 void gemm_tn_n1_avx2(std::size_t m, std::size_t k,
+                                         const double* a, std::size_t lda,
+                                         const double* b, std::size_t ldb,
+                                         double* c, std::size_t ldc) noexcept {
+  std::size_t i = 0;
+  for (; i + 32 <= m; i += 32) {
+    __m256d acc[8];
+#pragma GCC unroll 8
+    for (std::size_t q = 0; q < 8; ++q) acc[q] = _mm256_setzero_pd();
+    for (std::size_t p = 0; p < k; ++p) {
+      const __m256d bp = _mm256_set1_pd(b[p * ldb]);
+      const double* ap = a + p * lda + i;
+#pragma GCC unroll 8
+      for (std::size_t q = 0; q < 8; ++q) {
+        acc[q] = _mm256_fmadd_pd(_mm256_loadu_pd(ap + 4 * q), bp, acc[q]);
+      }
+    }
+#pragma GCC unroll 8
+    for (std::size_t q = 0; q < 8; ++q) {
+      add_rows_avx2<kSet>(acc[q], c + (i + 4 * q) * ldc, ldc);
+    }
+  }
+  for (; i + 4 <= m; i += 4) {
+    __m256d acc = _mm256_setzero_pd();
+    for (std::size_t p = 0; p < k; ++p) {
+      acc = _mm256_fmadd_pd(_mm256_loadu_pd(a + p * lda + i),
+                            _mm256_set1_pd(b[p * ldb]), acc);
+    }
+    add_rows_avx2<kSet>(acc, c + i * ldc, ldc);
+  }
+  for (; i < m; ++i) {
+    double s = 0.0;
+    for (std::size_t p = 0; p < k; ++p) {
+      s = std::fma(a[p * lda + i], b[p * ldb], s);
+    }
+    c[i * ldc] = c_in<kSet>(c + i * ldc) + s;
   }
 }
 
 // Same 4x8 block shape as gemm_nn; only the A access changes (column i of
 // the stored (k x m) A, i.e. strided broadcasts).
+template <bool kSet>
 DEEPCAT_TARGET_AVX2 void gemm_tn_avx2(std::size_t m, std::size_t n,
                                       std::size_t k, const double* a,
                                       std::size_t lda, const double* b,
                                       std::size_t ldb, double* c,
                                       std::size_t ldc) noexcept {
+  if (n == 1) {
+    gemm_tn_n1_avx2<kSet>(m, k, a, lda, b, ldb, c, ldc);
+    return;
+  }
   std::size_t i = 0;
   for (; i + 4 <= m; i += 4) {
     std::size_t j = 0;
     for (; j + 8 <= n; j += 8) {
-      __m256d c00 = _mm256_loadu_pd(c + (i + 0) * ldc + j);
-      __m256d c01 = _mm256_loadu_pd(c + (i + 0) * ldc + j + 4);
-      __m256d c10 = _mm256_loadu_pd(c + (i + 1) * ldc + j);
-      __m256d c11 = _mm256_loadu_pd(c + (i + 1) * ldc + j + 4);
-      __m256d c20 = _mm256_loadu_pd(c + (i + 2) * ldc + j);
-      __m256d c21 = _mm256_loadu_pd(c + (i + 2) * ldc + j + 4);
-      __m256d c30 = _mm256_loadu_pd(c + (i + 3) * ldc + j);
-      __m256d c31 = _mm256_loadu_pd(c + (i + 3) * ldc + j + 4);
+      __m256d c00 = c_in_avx2<kSet>(c + (i + 0) * ldc + j);
+      __m256d c01 = c_in_avx2<kSet>(c + (i + 0) * ldc + j + 4);
+      __m256d c10 = c_in_avx2<kSet>(c + (i + 1) * ldc + j);
+      __m256d c11 = c_in_avx2<kSet>(c + (i + 1) * ldc + j + 4);
+      __m256d c20 = c_in_avx2<kSet>(c + (i + 2) * ldc + j);
+      __m256d c21 = c_in_avx2<kSet>(c + (i + 2) * ldc + j + 4);
+      __m256d c30 = c_in_avx2<kSet>(c + (i + 3) * ldc + j);
+      __m256d c31 = c_in_avx2<kSet>(c + (i + 3) * ldc + j + 4);
       for (std::size_t p = 0; p < k; ++p) {
         const double* acol = a + p * lda + i;
         const double* brow = b + p * ldb + j;
@@ -594,22 +861,23 @@ DEEPCAT_TARGET_AVX2 void gemm_tn_avx2(std::size_t m, std::size_t n,
       for (std::size_t p = 0; p < k; ++p) {
         const double* acol = a + p * lda + i;
         const double bv = b[p * ldb + j];
-        s0 += acol[0] * bv;
-        s1 += acol[1] * bv;
-        s2 += acol[2] * bv;
-        s3 += acol[3] * bv;
+        s0 = std::fma(acol[0], bv, s0);
+        s1 = std::fma(acol[1], bv, s1);
+        s2 = std::fma(acol[2], bv, s2);
+        s3 = std::fma(acol[3], bv, s3);
       }
-      c[(i + 0) * ldc + j] += s0;
-      c[(i + 1) * ldc + j] += s1;
-      c[(i + 2) * ldc + j] += s2;
-      c[(i + 3) * ldc + j] += s3;
+      double* cj = c + i * ldc + j;
+      cj[0] = c_in<kSet>(cj) + s0;
+      cj[ldc] = c_in<kSet>(cj + ldc) + s1;
+      cj[2 * ldc] = c_in<kSet>(cj + 2 * ldc) + s2;
+      cj[3 * ldc] = c_in<kSet>(cj + 3 * ldc) + s3;
     }
   }
   for (; i < m; ++i) {
     std::size_t j = 0;
     for (; j + 8 <= n; j += 8) {
-      __m256d c0 = _mm256_loadu_pd(c + i * ldc + j);
-      __m256d c1 = _mm256_loadu_pd(c + i * ldc + j + 4);
+      __m256d c0 = c_in_avx2<kSet>(c + i * ldc + j);
+      __m256d c1 = c_in_avx2<kSet>(c + i * ldc + j + 4);
       for (std::size_t p = 0; p < k; ++p) {
         const __m256d av = _mm256_set1_pd(a[p * lda + i]);
         c0 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b + p * ldb + j), c0);
@@ -620,8 +888,10 @@ DEEPCAT_TARGET_AVX2 void gemm_tn_avx2(std::size_t m, std::size_t n,
     }
     for (; j < n; ++j) {
       double s = 0.0;
-      for (std::size_t p = 0; p < k; ++p) s += a[p * lda + i] * b[p * ldb + j];
-      c[i * ldc + j] += s;
+      for (std::size_t p = 0; p < k; ++p) {
+        s = std::fma(a[p * lda + i], b[p * ldb + j], s);
+      }
+      c[i * ldc + j] = c_in<kSet>(c + i * ldc + j) + s;
     }
   }
 }
@@ -629,6 +899,7 @@ DEEPCAT_TARGET_AVX2 void gemm_tn_avx2(std::size_t m, std::size_t n,
 // One output of the 1x4 dot kernel: a single vector accumulator over p in
 // 4-lane steps, hsum, then the scalar tail in ascending p. The blocked
 // kernel below keeps exactly this per-output arithmetic.
+template <bool kSet>
 DEEPCAT_TARGET_AVX2 void gemm_nt_row_avx2(const double* arow, std::size_t n,
                                           std::size_t k, const double* b,
                                           std::size_t ldb,
@@ -653,27 +924,61 @@ DEEPCAT_TARGET_AVX2 void gemm_nt_row_avx2(const double* arow, std::size_t n,
            s3 = hsum(acc3);
     for (; p < k; ++p) {
       const double av = arow[p];
-      s0 += av * b0[p];
-      s1 += av * b1[p];
-      s2 += av * b2[p];
-      s3 += av * b3[p];
+      s0 = std::fma(av, b0[p], s0);
+      s1 = std::fma(av, b1[p], s1);
+      s2 = std::fma(av, b2[p], s2);
+      s3 = std::fma(av, b3[p], s3);
     }
-    crow[j + 0] += s0;
-    crow[j + 1] += s1;
-    crow[j + 2] += s2;
-    crow[j + 3] += s3;
+    crow[j + 0] = c_in<kSet>(crow + j + 0) + s0;
+    crow[j + 1] = c_in<kSet>(crow + j + 1) + s1;
+    crow[j + 2] = c_in<kSet>(crow + j + 2) + s2;
+    crow[j + 3] = c_in<kSet>(crow + j + 3) + s3;
   }
-  for (; j < n; ++j) crow[j] += dot_avx2(arow, b + j * ldb, k);
+  for (; j < n; ++j) {
+    crow[j] = c_in<kSet>(crow + j) + dot_avx2(arow, b + j * ldb, k);
+  }
+}
+
+// C (+)= A * B^T at k == 1: every path of gemm_nt_avx2 computes a single
+// product as fma(a, b, +0.0) (an accumulator or hsum of +0.0 plus the FMA
+// tail) and adds it to C, here vectorized across the columns.
+template <bool kSet>
+DEEPCAT_TARGET_AVX2 void gemm_nt_k1_avx2(std::size_t m, std::size_t n,
+                                         const double* a, std::size_t lda,
+                                         const double* b, std::size_t ldb,
+                                         double* c, std::size_t ldc) noexcept {
+  const __m256d zero = _mm256_setzero_pd();
+  for (std::size_t i = 0; i < m; ++i) {
+    const double ai = a[i * lda];
+    const __m256d av = _mm256_set1_pd(ai);
+    double* crow = c + i * ldc;
+    std::size_t j = 0;
+    if (ldb == 1) {
+      for (; j + 4 <= n; j += 4) {
+        const __m256d prod = _mm256_fmadd_pd(av, _mm256_loadu_pd(b + j), zero);
+        _mm256_storeu_pd(crow + j,
+                         _mm256_add_pd(c_in_avx2<kSet>(crow + j), prod));
+      }
+    }
+    for (; j < n; ++j) {
+      crow[j] = c_in<kSet>(crow + j) + std::fma(ai, b[j * ldb], 0.0);
+    }
+  }
 }
 
 // 4 A rows x 2 B rows per tile: 8 accumulators + 4 A + 2 B vectors fit the
 // 16 ymm registers, and each load feeds 2 or 4 FMAs (the 1x4 kernel needs
 // 5 loads per 4 FMAs and re-streams B from L2 for every A row).
+template <bool kSet>
 DEEPCAT_TARGET_AVX2 void gemm_nt_avx2(std::size_t m, std::size_t n,
                                       std::size_t k, const double* a,
                                       std::size_t lda, const double* b,
                                       std::size_t ldb, double* c,
                                       std::size_t ldc) noexcept {
+  if (k == 1) {
+    gemm_nt_k1_avx2<kSet>(m, n, a, lda, b, ldb, c, ldc);
+    return;
+  }
   const std::size_t n4 = n - n % 4;
   std::size_t i = 0;
   for (; i + 4 <= m; i += 4) {
@@ -714,34 +1019,34 @@ DEEPCAT_TARGET_AVX2 void gemm_nt_avx2(std::size_t m, std::size_t n,
              t30 = hsum(s30), t31 = hsum(s31);
       for (; p < k; ++p) {
         const double bs0 = b0[p], bs1 = b1[p];
-        t00 += a0[p] * bs0;
-        t01 += a0[p] * bs1;
-        t10 += a1[p] * bs0;
-        t11 += a1[p] * bs1;
-        t20 += a2[p] * bs0;
-        t21 += a2[p] * bs1;
-        t30 += a3[p] * bs0;
-        t31 += a3[p] * bs1;
+        t00 = std::fma(a0[p], bs0, t00);
+        t01 = std::fma(a0[p], bs1, t01);
+        t10 = std::fma(a1[p], bs0, t10);
+        t11 = std::fma(a1[p], bs1, t11);
+        t20 = std::fma(a2[p], bs0, t20);
+        t21 = std::fma(a2[p], bs1, t21);
+        t30 = std::fma(a3[p], bs0, t30);
+        t31 = std::fma(a3[p], bs1, t31);
       }
-      c0[j] += t00;
-      c0[j + 1] += t01;
-      c1[j] += t10;
-      c1[j + 1] += t11;
-      c2[j] += t20;
-      c2[j + 1] += t21;
-      c3[j] += t30;
-      c3[j + 1] += t31;
+      c0[j] = c_in<kSet>(c0 + j) + t00;
+      c0[j + 1] = c_in<kSet>(c0 + j + 1) + t01;
+      c1[j] = c_in<kSet>(c1 + j) + t10;
+      c1[j + 1] = c_in<kSet>(c1 + j + 1) + t11;
+      c2[j] = c_in<kSet>(c2 + j) + t20;
+      c2[j + 1] = c_in<kSet>(c2 + j + 1) + t21;
+      c3[j] = c_in<kSet>(c3 + j) + t30;
+      c3[j + 1] = c_in<kSet>(c3 + j + 1) + t31;
     }
     for (std::size_t j = n4; j < n; ++j) {
       const double* bj = b + j * ldb;
-      c0[j] += dot_avx2(a0, bj, k);
-      c1[j] += dot_avx2(a1, bj, k);
-      c2[j] += dot_avx2(a2, bj, k);
-      c3[j] += dot_avx2(a3, bj, k);
+      c0[j] = c_in<kSet>(c0 + j) + dot_avx2(a0, bj, k);
+      c1[j] = c_in<kSet>(c1 + j) + dot_avx2(a1, bj, k);
+      c2[j] = c_in<kSet>(c2 + j) + dot_avx2(a2, bj, k);
+      c3[j] = c_in<kSet>(c3 + j) + dot_avx2(a3, bj, k);
     }
   }
   for (; i < m; ++i) {
-    gemm_nt_row_avx2(a + i * lda, n, k, b, ldb, c + i * ldc);
+    gemm_nt_row_avx2<kSet>(a + i * lda, n, k, b, ldb, c + i * ldc);
   }
 }
 
@@ -770,6 +1075,7 @@ DEEPCAT_TARGET_AVX2 void relu_grad_avx2(const double* g, const double* y,
   relu_grad_scalar(g + i, y + i, out + i, n - i);
 }
 
+template <bool kSet>
 DEEPCAT_TARGET_AVX2 void col_sums_add_avx2(std::size_t rows, std::size_t cols,
                                            const double* a, std::size_t lda,
                                            double* out) noexcept {
@@ -779,9 +1085,9 @@ DEEPCAT_TARGET_AVX2 void col_sums_add_avx2(std::size_t rows, std::size_t cols,
     for (std::size_t r = 0; r < rows; ++r) {
       s = _mm256_add_pd(s, _mm256_loadu_pd(a + r * lda + j));
     }
-    _mm256_storeu_pd(out + j, _mm256_add_pd(_mm256_loadu_pd(out + j), s));
+    _mm256_storeu_pd(out + j, _mm256_add_pd(c_in_avx2<kSet>(out + j), s));
   }
-  col_sums_add_scalar(rows, cols - j, a + j, lda, out + j);
+  col_sums_add_scalar<kSet>(rows, cols - j, a + j, lda, out + j);
 }
 
 // ---- AVX-512 kernels -----------------------------------------------------
@@ -811,7 +1117,7 @@ DEEPCAT_TARGET_AVX512 double dot_avx512(const double* a, const double* b,
   }
   double s = _mm512_reduce_add_pd(_mm512_add_pd(
       _mm512_add_pd(acc0, acc1), _mm512_add_pd(acc2, acc3)));
-  for (; i < n; ++i) s += a[i] * b[i];
+  for (; i < n; ++i) s = std::fma(a[i], b[i], s);
   return s;
 }
 
@@ -836,7 +1142,7 @@ DEEPCAT_TARGET_AVX512 double squared_distance_avx512(const double* a,
   double s = _mm512_reduce_add_pd(_mm512_add_pd(acc0, acc1));
   for (; i < n; ++i) {
     const double d = a[i] - b[i];
-    s += d * d;
+    s = std::fma(d, d, s);
   }
   return s;
 }
@@ -897,10 +1203,40 @@ DEEPCAT_TARGET_AVX512 void axpy_avx512(double alpha, const double* x,
         y + i, _mm512_fmadd_pd(va, _mm512_loadu_pd(x + i),
                                _mm512_loadu_pd(y + i)));
   }
-  for (; i < n; ++i) y[i] += alpha * x[i];
+  for (; i < n; ++i) y[i] = std::fma(alpha, x[i], y[i]);
 }
 
-DEEPCAT_TARGET_AVX512 void adam_update_avx512(
+DEEPCAT_TARGET_AVX512 inline __m512d rounded(__m512d v) noexcept {
+  __asm__("" : "+v"(v));
+  return v;
+}
+
+template <bool kSet>
+DEEPCAT_TARGET_AVX512 inline __m512d c_in_avx512(const double* p) noexcept {
+  if constexpr (kSet) {
+    return _mm512_setzero_pd();
+  } else {
+    return _mm512_loadu_pd(p);
+  }
+}
+
+// C(r) (+)= lane r of `s` for eight rows ldc apart.
+template <bool kSet>
+DEEPCAT_TARGET_AVX512 inline void add_rows_avx512(__m512d s, double* c,
+                                                  std::size_t ldc) noexcept {
+  if (ldc == 1) {
+    _mm512_storeu_pd(c, _mm512_add_pd(c_in_avx512<kSet>(c), s));
+    return;
+  }
+  alignas(64) double lane[8];
+  _mm512_store_pd(lane, s);
+  for (std::size_t r = 0; r < 8; ++r) {
+    c[r * ldc] = c_in<kSet>(c + r * ldc) + lane[r];
+  }
+}
+
+template <bool kUnitBc1>
+DEEPCAT_TARGET_AVX512 void adam_update_avx512_impl(
     double* value, const double* grad, double* m, double* v, std::size_t n,
     double scale, double beta1, double beta2, double bc1, double bc2,
     double lr, double eps) noexcept {
@@ -923,7 +1259,7 @@ DEEPCAT_TARGET_AVX512 void adam_update_avx512(
         _mm512_mul_pd(vomb2, _mm512_mul_pd(g, g)));
     _mm512_storeu_pd(m + i, mi);
     _mm512_storeu_pd(v + i, vi);
-    const __m512d m_hat = _mm512_div_pd(mi, vbc1);
+    const __m512d m_hat = kUnitBc1 ? mi : _mm512_div_pd(mi, vbc1);
     const __m512d v_hat = _mm512_div_pd(vi, vbc2);
     const __m512d denom = _mm512_add_pd(_mm512_sqrt_pd(v_hat), veps);
     const __m512d update = _mm512_div_pd(_mm512_mul_pd(vlr, m_hat), denom);
@@ -933,6 +1269,19 @@ DEEPCAT_TARGET_AVX512 void adam_update_avx512(
   if (i < n) {
     adam_update_scalar(value + i, grad + i, m + i, v + i, n - i, scale, beta1,
                        beta2, bc1, bc2, lr, eps);
+  }
+}
+
+DEEPCAT_TARGET_AVX512 void adam_update_avx512(
+    double* value, const double* grad, double* m, double* v, std::size_t n,
+    double scale, double beta1, double beta2, double bc1, double bc2,
+    double lr, double eps) noexcept {
+  if (bc1 == 1.0) {
+    adam_update_avx512_impl<true>(value, grad, m, v, n, scale, beta1, beta2,
+                                  bc1, bc2, lr, eps);
+  } else {
+    adam_update_avx512_impl<false>(value, grad, m, v, n, scale, beta1, beta2,
+                                   bc1, bc2, lr, eps);
   }
 }
 
@@ -956,6 +1305,131 @@ DEEPCAT_TARGET_AVX512 void adam_update_clipped_avx512(
   }
 }
 
+DEEPCAT_TARGET_AVX512 void soft_update_avx512(double* dst, const double* src,
+                                              std::size_t n,
+                                              double tau) noexcept {
+  const __m512d vtau = _mm512_set1_pd(tau);
+  const __m512d vkeep = _mm512_set1_pd(1.0 - tau);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m512d s = rounded(_mm512_mul_pd(vtau, _mm512_loadu_pd(src + i)));
+    const __m512d d = rounded(_mm512_mul_pd(vkeep, _mm512_loadu_pd(dst + i)));
+    _mm512_storeu_pd(dst + i, _mm512_add_pd(s, d));
+  }
+  if (i < n) {
+    const auto mask = static_cast<__mmask8>((1u << (n - i)) - 1u);
+    const __m512d s =
+        rounded(_mm512_mul_pd(vtau, _mm512_maskz_loadu_pd(mask, src + i)));
+    const __m512d d =
+        rounded(_mm512_mul_pd(vkeep, _mm512_maskz_loadu_pd(mask, dst + i)));
+    _mm512_mask_storeu_pd(dst + i, mask, _mm512_add_pd(s, d));
+  }
+}
+
+// In-register transpose of an 8x8 block: on return, lane r of t[q] is
+// lane q of the input t[r].
+DEEPCAT_TARGET_AVX512 inline void transpose8x8_avx512(__m512d t[8]) noexcept {
+  // Pairs: u[2h] lanes (r0[0], r1[0], r0[2], r1[2], ...), u[2h+1] the odd
+  // columns, for row pairs (2h, 2h+1).
+  __m512d u[8];
+#pragma GCC unroll 4
+  for (int h = 0; h < 4; ++h) {
+    u[2 * h] = _mm512_unpacklo_pd(t[2 * h], t[2 * h + 1]);
+    u[2 * h + 1] = _mm512_unpackhi_pd(t[2 * h], t[2 * h + 1]);
+  }
+  // 128-bit lanes: v holds columns {0,2} / {4,6} (even) and {1,3} / {5,7}
+  // (odd) of rows 0-3 and 4-7.
+#pragma GCC unroll 2
+  for (int odd = 0; odd < 2; ++odd) {
+    const __m512d lo03 =
+        _mm512_shuffle_f64x2(u[odd], u[2 + odd], _MM_SHUFFLE(1, 0, 1, 0));
+    const __m512d hi03 =
+        _mm512_shuffle_f64x2(u[odd], u[2 + odd], _MM_SHUFFLE(3, 2, 3, 2));
+    const __m512d lo47 =
+        _mm512_shuffle_f64x2(u[4 + odd], u[6 + odd], _MM_SHUFFLE(1, 0, 1, 0));
+    const __m512d hi47 =
+        _mm512_shuffle_f64x2(u[4 + odd], u[6 + odd], _MM_SHUFFLE(3, 2, 3, 2));
+    t[0 + odd] = _mm512_shuffle_f64x2(lo03, lo47, _MM_SHUFFLE(2, 0, 2, 0));
+    t[2 + odd] = _mm512_shuffle_f64x2(lo03, lo47, _MM_SHUFFLE(3, 1, 3, 1));
+    t[4 + odd] = _mm512_shuffle_f64x2(hi03, hi47, _MM_SHUFFLE(2, 0, 2, 0));
+    t[6 + odd] = _mm512_shuffle_f64x2(hi03, hi47, _MM_SHUFFLE(3, 1, 3, 1));
+  }
+}
+
+// C(m x 1) += A(m x k) b for a row-major A — the n == 1 case. Lane r of an
+// accumulator is row r's FMA chain from +0.0 in ascending p, added to C at
+// the end: the arithmetic of the leftover-column loop below. 8x8 blocks of
+// A are transposed in registers so one FMA advances eight rows' chains; G
+// accumulators (8G rows) are in flight at once.
+template <std::size_t G>
+DEEPCAT_TARGET_AVX512 void gemm_nn_n1_rows_avx512(
+    std::size_t k, const double* a, std::size_t lda, const double* b,
+    std::size_t ldb, double* c, std::size_t ldc) noexcept {
+  __m512d acc[G];
+#pragma GCC unroll 4
+  for (std::size_t g = 0; g < G; ++g) acc[g] = _mm512_setzero_pd();
+  std::size_t p = 0;
+  for (; p + 8 <= k; p += 8) {
+    __m512d bq[8];
+#pragma GCC unroll 8
+    for (std::size_t q = 0; q < 8; ++q) {
+      bq[q] = _mm512_set1_pd(b[(p + q) * ldb]);
+    }
+#pragma GCC unroll 4
+    for (std::size_t g = 0; g < G; ++g) {
+      const double* ag = a + 8 * g * lda + p;
+      __m512d t[8];
+#pragma GCC unroll 8
+      for (std::size_t r = 0; r < 8; ++r) t[r] = _mm512_loadu_pd(ag + r * lda);
+      transpose8x8_avx512(t);
+#pragma GCC unroll 8
+      for (std::size_t q = 0; q < 8; ++q) {
+        acc[g] = _mm512_fmadd_pd(t[q], bq[q], acc[g]);
+      }
+    }
+  }
+  if (p < k) {
+    const __m512i rows = _mm512_set_epi64(
+        static_cast<long long>(7 * lda), static_cast<long long>(6 * lda),
+        static_cast<long long>(5 * lda), static_cast<long long>(4 * lda),
+        static_cast<long long>(3 * lda), static_cast<long long>(2 * lda),
+        static_cast<long long>(lda), 0);
+    for (; p < k; ++p) {
+      const __m512d bp = _mm512_set1_pd(b[p * ldb]);
+#pragma GCC unroll 4
+      for (std::size_t g = 0; g < G; ++g) {
+        const double* ag = a + 8 * g * lda + p;
+        acc[g] = _mm512_fmadd_pd(_mm512_i64gather_pd(rows, ag, 8), bp, acc[g]);
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (std::size_t g = 0; g < G; ++g) {
+    add_rows_avx512<false>(acc[g], c + 8 * g * ldc,
+                           ldc);
+  }
+}
+
+DEEPCAT_TARGET_AVX512 void gemm_nn_n1_avx512(std::size_t m, std::size_t k,
+                                             const double* a, std::size_t lda,
+                                             const double* b, std::size_t ldb,
+                                             double* c,
+                                             std::size_t ldc) noexcept {
+  std::size_t i = 0;
+  for (; i + 32 <= m; i += 32) {
+    gemm_nn_n1_rows_avx512<4>(k, a + i * lda, lda, b, ldb, c + i * ldc, ldc);
+  }
+  for (; i + 8 <= m; i += 8) {
+    gemm_nn_n1_rows_avx512<1>(k, a + i * lda, lda, b, ldb, c + i * ldc, ldc);
+  }
+  for (; i < m; ++i) {
+    const double* arow = a + i * lda;
+    double s = 0.0;
+    for (std::size_t p = 0; p < k; ++p) s = std::fma(arow[p], b[p * ldb], s);
+    c[i * ldc] += s;
+  }
+}
+
 // 8 rows x 16 columns per tile over the full 16-column blocks of every
 // 8-row band: 16 zmm accumulators, where the 4x16 tiles below hold 8 —
 // too few to cover the FMA latency. Each C element keeps its one FMA
@@ -963,6 +1437,7 @@ DEEPCAT_TARGET_AVX512 void adam_update_clipped_avx512(
 // bit-identical to the 4x16 tiles. A's element (i, p) is a[i*ars + p*acs],
 // which serves gemm_nn (ars = lda, acs = 1) and gemm_tn (ars = 1,
 // acs = lda). Returns the number of rows banded.
+template <bool kSet>
 DEEPCAT_TARGET_AVX512 std::size_t gemm_bands_8x16_avx512(
     std::size_t m, std::size_t n, std::size_t k, const double* a,
     std::size_t ars, std::size_t acs, const double* b, std::size_t ldb,
@@ -973,8 +1448,8 @@ DEEPCAT_TARGET_AVX512 std::size_t gemm_bands_8x16_avx512(
       __m512d acc[8][2];
 #pragma GCC unroll 8
       for (std::size_t r = 0; r < 8; ++r) {
-        acc[r][0] = _mm512_loadu_pd(c + (i + r) * ldc + j);
-        acc[r][1] = _mm512_loadu_pd(c + (i + r) * ldc + j + 8);
+        acc[r][0] = c_in_avx512<kSet>(c + (i + r) * ldc + j);
+        acc[r][1] = c_in_avx512<kSet>(c + (i + r) * ldc + j + 8);
       }
       for (std::size_t p = 0; p < k; ++p) {
         const double* brow = b + p * ldb + j;
@@ -1007,8 +1482,12 @@ DEEPCAT_TARGET_AVX512 void gemm_nn_avx512(std::size_t m, std::size_t n,
                                           std::size_t lda, const double* b,
                                           std::size_t ldb, double* c,
                                           std::size_t ldc) noexcept {
+  if (n == 1) {
+    gemm_nn_n1_avx512(m, k, a, lda, b, ldb, c, ldc);
+    return;
+  }
   const std::size_t banded =
-      gemm_bands_8x16_avx512(m, n, k, a, lda, 1, b, ldb, c, ldc);
+      gemm_bands_8x16_avx512<false>(m, n, k, a, lda, 1, b, ldb, c, ldc);
   std::size_t i = 0;
   for (; i + 4 <= m; i += 4) {
     const double* a0 = a + (i + 0) * lda;
@@ -1074,10 +1553,10 @@ DEEPCAT_TARGET_AVX512 void gemm_nn_avx512(std::size_t m, std::size_t n,
       double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
       for (std::size_t p = 0; p < k; ++p) {
         const double bv = b[p * ldb + j];
-        s0 += a0[p] * bv;
-        s1 += a1[p] * bv;
-        s2 += a2[p] * bv;
-        s3 += a3[p] * bv;
+        s0 = std::fma(a0[p], bv, s0);
+        s1 = std::fma(a1[p], bv, s1);
+        s2 = std::fma(a2[p], bv, s2);
+        s3 = std::fma(a3[p], bv, s3);
       }
       c[(i + 0) * ldc + j] += s0;
       c[(i + 1) * ldc + j] += s1;
@@ -1087,47 +1566,122 @@ DEEPCAT_TARGET_AVX512 void gemm_nn_avx512(std::size_t m, std::size_t n,
   }
   for (; i < m; ++i) {
     const double* arow = a + i * lda;
+    double* crow = c + i * ldc;
     std::size_t j = 0;
+    // A single row (the Twin-Q screen, act) has no neighbouring rows to
+    // interleave: sixteen accumulators over 128 columns hide the FMA
+    // latency that two cannot and stream B row by row, contiguously. Each
+    // column keeps its chain from C.
+    for (; j + 128 <= n; j += 128) {
+      __m512d acc[16];
+#pragma GCC unroll 16
+      for (std::size_t q = 0; q < 16; ++q) {
+        acc[q] = _mm512_loadu_pd(crow + j + 8 * q);
+      }
+      for (std::size_t p = 0; p < k; ++p) {
+        const __m512d av = _mm512_set1_pd(arow[p]);
+        const double* brow = b + p * ldb + j;
+#pragma GCC unroll 16
+        for (std::size_t q = 0; q < 16; ++q) {
+          acc[q] = _mm512_fmadd_pd(av, _mm512_loadu_pd(brow + 8 * q), acc[q]);
+        }
+      }
+#pragma GCC unroll 16
+      for (std::size_t q = 0; q < 16; ++q) {
+        _mm512_storeu_pd(crow + j + 8 * q, acc[q]);
+      }
+    }
     for (; j + 16 <= n; j += 16) {
-      __m512d c0 = _mm512_loadu_pd(c + i * ldc + j);
-      __m512d c1 = _mm512_loadu_pd(c + i * ldc + j + 8);
+      __m512d c0 = _mm512_loadu_pd(crow + j);
+      __m512d c1 = _mm512_loadu_pd(crow + j + 8);
       for (std::size_t p = 0; p < k; ++p) {
         const __m512d av = _mm512_set1_pd(arow[p]);
         c0 = _mm512_fmadd_pd(av, _mm512_loadu_pd(b + p * ldb + j), c0);
         c1 = _mm512_fmadd_pd(av, _mm512_loadu_pd(b + p * ldb + j + 8), c1);
       }
-      _mm512_storeu_pd(c + i * ldc + j, c0);
-      _mm512_storeu_pd(c + i * ldc + j + 8, c1);
+      _mm512_storeu_pd(crow + j, c0);
+      _mm512_storeu_pd(crow + j + 8, c1);
     }
     for (; j < n; ++j) {
       double s = 0.0;
-      for (std::size_t p = 0; p < k; ++p) s += arow[p] * b[p * ldb + j];
-      c[i * ldc + j] += s;
+      for (std::size_t p = 0; p < k; ++p) {
+        s = std::fma(arow[p], b[p * ldb + j], s);
+      }
+      crow[j] += s;
     }
+  }
+}
+
+// C(m x 1) (+)= A^T b for a (k x m) A — the n == 1 case. Column p of A^T is
+// row p of A, contiguous across output rows, so lane r of an accumulator
+// is row r's FMA chain from +0.0 in ascending p with plain vector loads.
+template <bool kSet>
+DEEPCAT_TARGET_AVX512 void gemm_tn_n1_avx512(std::size_t m, std::size_t k,
+                                             const double* a, std::size_t lda,
+                                             const double* b, std::size_t ldb,
+                                             double* c,
+                                             std::size_t ldc) noexcept {
+  std::size_t i = 0;
+  for (; i + 64 <= m; i += 64) {
+    __m512d acc[8];
+#pragma GCC unroll 8
+    for (std::size_t q = 0; q < 8; ++q) acc[q] = _mm512_setzero_pd();
+    for (std::size_t p = 0; p < k; ++p) {
+      const __m512d bp = _mm512_set1_pd(b[p * ldb]);
+      const double* ap = a + p * lda + i;
+#pragma GCC unroll 8
+      for (std::size_t q = 0; q < 8; ++q) {
+        acc[q] = _mm512_fmadd_pd(_mm512_loadu_pd(ap + 8 * q), bp, acc[q]);
+      }
+    }
+#pragma GCC unroll 8
+    for (std::size_t q = 0; q < 8; ++q) {
+      add_rows_avx512<kSet>(acc[q], c + (i + 8 * q) * ldc, ldc);
+    }
+  }
+  for (; i + 8 <= m; i += 8) {
+    __m512d acc = _mm512_setzero_pd();
+    for (std::size_t p = 0; p < k; ++p) {
+      acc = _mm512_fmadd_pd(_mm512_loadu_pd(a + p * lda + i),
+                            _mm512_set1_pd(b[p * ldb]), acc);
+    }
+    add_rows_avx512<kSet>(acc, c + i * ldc, ldc);
+  }
+  for (; i < m; ++i) {
+    double s = 0.0;
+    for (std::size_t p = 0; p < k; ++p) {
+      s = std::fma(a[p * lda + i], b[p * ldb], s);
+    }
+    c[i * ldc] = c_in<kSet>(c + i * ldc) + s;
   }
 }
 
 // Same band + 4x16 block shapes as gemm_nn_avx512; only the A access
 // changes (column i of the stored (k x m) A, i.e. strided broadcasts).
+template <bool kSet>
 DEEPCAT_TARGET_AVX512 void gemm_tn_avx512(std::size_t m, std::size_t n,
                                           std::size_t k, const double* a,
                                           std::size_t lda, const double* b,
                                           std::size_t ldb, double* c,
                                           std::size_t ldc) noexcept {
+  if (n == 1) {
+    gemm_tn_n1_avx512<kSet>(m, k, a, lda, b, ldb, c, ldc);
+    return;
+  }
   const std::size_t banded =
-      gemm_bands_8x16_avx512(m, n, k, a, 1, lda, b, ldb, c, ldc);
+      gemm_bands_8x16_avx512<kSet>(m, n, k, a, 1, lda, b, ldb, c, ldc);
   std::size_t i = 0;
   for (; i + 4 <= m; i += 4) {
     std::size_t j = i < banded ? n - n % 16 : 0;
     for (; j + 16 <= n; j += 16) {
-      __m512d c00 = _mm512_loadu_pd(c + (i + 0) * ldc + j);
-      __m512d c01 = _mm512_loadu_pd(c + (i + 0) * ldc + j + 8);
-      __m512d c10 = _mm512_loadu_pd(c + (i + 1) * ldc + j);
-      __m512d c11 = _mm512_loadu_pd(c + (i + 1) * ldc + j + 8);
-      __m512d c20 = _mm512_loadu_pd(c + (i + 2) * ldc + j);
-      __m512d c21 = _mm512_loadu_pd(c + (i + 2) * ldc + j + 8);
-      __m512d c30 = _mm512_loadu_pd(c + (i + 3) * ldc + j);
-      __m512d c31 = _mm512_loadu_pd(c + (i + 3) * ldc + j + 8);
+      __m512d c00 = c_in_avx512<kSet>(c + (i + 0) * ldc + j);
+      __m512d c01 = c_in_avx512<kSet>(c + (i + 0) * ldc + j + 8);
+      __m512d c10 = c_in_avx512<kSet>(c + (i + 1) * ldc + j);
+      __m512d c11 = c_in_avx512<kSet>(c + (i + 1) * ldc + j + 8);
+      __m512d c20 = c_in_avx512<kSet>(c + (i + 2) * ldc + j);
+      __m512d c21 = c_in_avx512<kSet>(c + (i + 2) * ldc + j + 8);
+      __m512d c30 = c_in_avx512<kSet>(c + (i + 3) * ldc + j);
+      __m512d c31 = c_in_avx512<kSet>(c + (i + 3) * ldc + j + 8);
       for (std::size_t p = 0; p < k; ++p) {
         const double* acol = a + p * lda + i;
         const double* brow = b + p * ldb + j;
@@ -1160,22 +1714,23 @@ DEEPCAT_TARGET_AVX512 void gemm_tn_avx512(std::size_t m, std::size_t n,
       for (std::size_t p = 0; p < k; ++p) {
         const double* acol = a + p * lda + i;
         const double bv = b[p * ldb + j];
-        s0 += acol[0] * bv;
-        s1 += acol[1] * bv;
-        s2 += acol[2] * bv;
-        s3 += acol[3] * bv;
+        s0 = std::fma(acol[0], bv, s0);
+        s1 = std::fma(acol[1], bv, s1);
+        s2 = std::fma(acol[2], bv, s2);
+        s3 = std::fma(acol[3], bv, s3);
       }
-      c[(i + 0) * ldc + j] += s0;
-      c[(i + 1) * ldc + j] += s1;
-      c[(i + 2) * ldc + j] += s2;
-      c[(i + 3) * ldc + j] += s3;
+      double* cj = c + i * ldc + j;
+      cj[0] = c_in<kSet>(cj) + s0;
+      cj[ldc] = c_in<kSet>(cj + ldc) + s1;
+      cj[2 * ldc] = c_in<kSet>(cj + 2 * ldc) + s2;
+      cj[3 * ldc] = c_in<kSet>(cj + 3 * ldc) + s3;
     }
   }
   for (; i < m; ++i) {
     std::size_t j = 0;
     for (; j + 16 <= n; j += 16) {
-      __m512d c0 = _mm512_loadu_pd(c + i * ldc + j);
-      __m512d c1 = _mm512_loadu_pd(c + i * ldc + j + 8);
+      __m512d c0 = c_in_avx512<kSet>(c + i * ldc + j);
+      __m512d c1 = c_in_avx512<kSet>(c + i * ldc + j + 8);
       for (std::size_t p = 0; p < k; ++p) {
         const __m512d av = _mm512_set1_pd(a[p * lda + i]);
         c0 = _mm512_fmadd_pd(av, _mm512_loadu_pd(b + p * ldb + j), c0);
@@ -1186,8 +1741,10 @@ DEEPCAT_TARGET_AVX512 void gemm_tn_avx512(std::size_t m, std::size_t n,
     }
     for (; j < n; ++j) {
       double s = 0.0;
-      for (std::size_t p = 0; p < k; ++p) s += a[p * lda + i] * b[p * ldb + j];
-      c[i * ldc + j] += s;
+      for (std::size_t p = 0; p < k; ++p) {
+        s = std::fma(a[p * lda + i], b[p * ldb + j], s);
+      }
+      c[i * ldc + j] = c_in<kSet>(c + i * ldc + j) + s;
     }
   }
 }
@@ -1218,6 +1775,7 @@ DEEPCAT_TARGET_AVX512 inline __m256d reduce_add4_avx512(
 
 // One output row of the 1x4 dot kernel, 8-wide accumulators; the blocked
 // kernel below keeps exactly this per-output arithmetic.
+template <bool kSet>
 DEEPCAT_TARGET_AVX512 void gemm_nt_row_avx512(const double* arow,
                                               std::size_t n, std::size_t k,
                                               const double* b,
@@ -1245,27 +1803,62 @@ DEEPCAT_TARGET_AVX512 void gemm_nt_row_avx512(const double* arow,
     double s3 = _mm512_reduce_add_pd(acc3);
     for (; p < k; ++p) {
       const double av = arow[p];
-      s0 += av * b0[p];
-      s1 += av * b1[p];
-      s2 += av * b2[p];
-      s3 += av * b3[p];
+      s0 = std::fma(av, b0[p], s0);
+      s1 = std::fma(av, b1[p], s1);
+      s2 = std::fma(av, b2[p], s2);
+      s3 = std::fma(av, b3[p], s3);
     }
-    crow[j + 0] += s0;
-    crow[j + 1] += s1;
-    crow[j + 2] += s2;
-    crow[j + 3] += s3;
+    crow[j + 0] = c_in<kSet>(crow + j + 0) + s0;
+    crow[j + 1] = c_in<kSet>(crow + j + 1) + s1;
+    crow[j + 2] = c_in<kSet>(crow + j + 2) + s2;
+    crow[j + 3] = c_in<kSet>(crow + j + 3) + s3;
   }
-  for (; j < n; ++j) crow[j] += dot_avx512(arow, b + j * ldb, k);
+  for (; j < n; ++j) {
+    crow[j] = c_in<kSet>(crow + j) + dot_avx512(arow, b + j * ldb, k);
+  }
+}
+
+// C (+)= A * B^T at k == 1: every path of gemm_nt_avx512 computes a single
+// product as fma(a, b, +0.0) (a zeroed accumulator or reduction of +0.0
+// plus the FMA tail) and adds it to C, here vectorized across the columns.
+template <bool kSet>
+DEEPCAT_TARGET_AVX512 void gemm_nt_k1_avx512(std::size_t m, std::size_t n,
+                                             const double* a, std::size_t lda,
+                                             const double* b, std::size_t ldb,
+                                             double* c,
+                                             std::size_t ldc) noexcept {
+  const __m512d zero = _mm512_setzero_pd();
+  for (std::size_t i = 0; i < m; ++i) {
+    const double ai = a[i * lda];
+    const __m512d av = _mm512_set1_pd(ai);
+    double* crow = c + i * ldc;
+    std::size_t j = 0;
+    if (ldb == 1) {
+      for (; j + 8 <= n; j += 8) {
+        const __m512d prod = _mm512_fmadd_pd(av, _mm512_loadu_pd(b + j), zero);
+        _mm512_storeu_pd(crow + j,
+                         _mm512_add_pd(c_in_avx512<kSet>(crow + j), prod));
+      }
+    }
+    for (; j < n; ++j) {
+      crow[j] = c_in<kSet>(crow + j) + std::fma(ai, b[j * ldb], 0.0);
+    }
+  }
 }
 
 // 4 A rows x 4 B rows per tile: 16 accumulators + 4 A + 4 B vectors fit
 // the 32 zmm registers, so each load feeds 4 FMAs and B streams from L2
 // once per 4 A rows instead of once per row.
+template <bool kSet>
 DEEPCAT_TARGET_AVX512 void gemm_nt_avx512(std::size_t m, std::size_t n,
                                           std::size_t k, const double* a,
                                           std::size_t lda, const double* b,
                                           std::size_t ldb, double* c,
                                           std::size_t ldc) noexcept {
+  if (k == 1) {
+    gemm_nt_k1_avx512<kSet>(m, n, a, lda, b, ldb, c, ldc);
+    return;
+  }
   const std::size_t n4 = n - n % 4;
   std::size_t i = 0;
   for (; i + 4 <= m; i += 4) {
@@ -1297,7 +1890,7 @@ DEEPCAT_TARGET_AVX512 void gemm_nt_avx512(std::size_t m, std::size_t n,
         }
       }
       // Scalar tail in ascending p, four columns per vector (per-lane FMA
-      // is the scalar tail's contracted s += a*b), then C += s. With k < 8
+      // is the scalar tail's s = fma(a, b, s)), then C += s. With k < 8
       // the accumulators never left +0.0, and neither does their sum.
 #pragma GCC unroll 4
       for (int r = 0; r < 4; ++r) {
@@ -1310,15 +1903,17 @@ DEEPCAT_TARGET_AVX512 void gemm_nt_avx512(std::size_t m, std::size_t n,
           sv = _mm256_fmadd_pd(_mm256_set1_pd(ar[r][t]), bt, sv);
         }
         double* cj = cr[r] + j;
-        _mm256_storeu_pd(cj, _mm256_add_pd(_mm256_loadu_pd(cj), sv));
+        _mm256_storeu_pd(cj, _mm256_add_pd(c_in_avx2<kSet>(cj), sv));
       }
     }
     for (std::size_t j = n4; j < n; ++j) {
-      for (int r = 0; r < 4; ++r) cr[r][j] += dot_avx512(ar[r], b + j * ldb, k);
+      for (int r = 0; r < 4; ++r) {
+        cr[r][j] = c_in<kSet>(cr[r] + j) + dot_avx512(ar[r], b + j * ldb, k);
+      }
     }
   }
   for (; i < m; ++i) {
-    gemm_nt_row_avx512(a + i * lda, n, k, b, ldb, c + i * ldc);
+    gemm_nt_row_avx512<kSet>(a + i * lda, n, k, b, ldb, c + i * ldc);
   }
 }
 
@@ -1344,6 +1939,7 @@ DEEPCAT_TARGET_AVX512 void relu_grad_avx512(const double* g, const double* y,
   relu_grad_scalar(g + i, y + i, out + i, n - i);
 }
 
+template <bool kSet>
 DEEPCAT_TARGET_AVX512 void col_sums_add_avx512(std::size_t rows,
                                                std::size_t cols,
                                                const double* a,
@@ -1355,9 +1951,9 @@ DEEPCAT_TARGET_AVX512 void col_sums_add_avx512(std::size_t rows,
     for (std::size_t r = 0; r < rows; ++r) {
       s = _mm512_add_pd(s, _mm512_loadu_pd(a + r * lda + j));
     }
-    _mm512_storeu_pd(out + j, _mm512_add_pd(_mm512_loadu_pd(out + j), s));
+    _mm512_storeu_pd(out + j, _mm512_add_pd(c_in_avx512<kSet>(out + j), s));
   }
-  col_sums_add_scalar(rows, cols - j, a + j, lda, out + j);
+  col_sums_add_scalar<kSet>(rows, cols - j, a + j, lda, out + j);
 }
 
 // ---- L2-tiled packed GEMM path -------------------------------------------
@@ -1831,52 +2427,83 @@ void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const double* a,
 
 void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
-             std::size_t ldc) noexcept {
+             std::size_t ldc, Store store) noexcept {
   const Backend be = active_backend();
   count_dispatch(be);
 #if DEEPCAT_SIMD_X86
-  if (be != Backend::kScalar && use_packed_path(m, n, k) &&
-      gemm_packed(be, m, n, k, a, 1, lda, b, ldb, 1, c, ldc)) {
-    count_packed();
-    return;
+  if (be != Backend::kScalar && use_packed_path(m, n, k)) {
+    if (store == Store::kSet) zero_block(m, n, c, ldc);
+    if (gemm_packed(be, m, n, k, a, 1, lda, b, ldb, 1, c, ldc)) {
+      count_packed();
+      return;
+    }
+    store = Store::kAdd;  // C is zero-filled already
   }
+  const bool set = store == Store::kSet;
   switch (be) {
     case Backend::kAvx512:
-      gemm_tn_avx512(m, n, k, a, lda, b, ldb, c, ldc);
+      set ? gemm_tn_avx512<true>(m, n, k, a, lda, b, ldb, c, ldc)
+          : gemm_tn_avx512<false>(m, n, k, a, lda, b, ldb, c, ldc);
       return;
     case Backend::kAvx2:
-      gemm_tn_avx2(m, n, k, a, lda, b, ldb, c, ldc);
+      set ? gemm_tn_avx2<true>(m, n, k, a, lda, b, ldb, c, ldc)
+          : gemm_tn_avx2<false>(m, n, k, a, lda, b, ldb, c, ldc);
       return;
     default:
       break;
   }
 #endif
+  if (store == Store::kSet) zero_block(m, n, c, ldc);
   gemm_tn_scalar(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
-             std::size_t ldc) noexcept {
+             std::size_t ldc, Store store) noexcept {
   const Backend be = active_backend();
   count_dispatch(be);
 #if DEEPCAT_SIMD_X86
-  if (be != Backend::kScalar && use_packed_path(m, n, k) &&
-      gemm_packed(be, m, n, k, a, lda, 1, b, 1, ldb, c, ldc)) {
-    count_packed();
-    return;
+  if (be != Backend::kScalar && use_packed_path(m, n, k)) {
+    if (store == Store::kSet) zero_block(m, n, c, ldc);
+    if (gemm_packed(be, m, n, k, a, lda, 1, b, 1, ldb, c, ldc)) {
+      count_packed();
+      return;
+    }
+    store = Store::kAdd;  // C is zero-filled already
   }
+  const bool set = store == Store::kSet;
   switch (be) {
     case Backend::kAvx512:
-      gemm_nt_avx512(m, n, k, a, lda, b, ldb, c, ldc);
+      set ? gemm_nt_avx512<true>(m, n, k, a, lda, b, ldb, c, ldc)
+          : gemm_nt_avx512<false>(m, n, k, a, lda, b, ldb, c, ldc);
       return;
     case Backend::kAvx2:
-      gemm_nt_avx2(m, n, k, a, lda, b, ldb, c, ldc);
+      set ? gemm_nt_avx2<true>(m, n, k, a, lda, b, ldb, c, ldc)
+          : gemm_nt_avx2<false>(m, n, k, a, lda, b, ldb, c, ldc);
       return;
     default:
       break;
   }
 #endif
+  if (store == Store::kSet) zero_block(m, n, c, ldc);
   gemm_nt_scalar(m, n, k, a, lda, b, ldb, c, ldc);
+}
+
+void soft_update(double* dst, const double* src, std::size_t n,
+                 double tau) noexcept {
+#if DEEPCAT_SIMD_X86
+  switch (active_backend()) {
+    case Backend::kAvx512:
+      soft_update_avx512(dst, src, n, tau);
+      return;
+    case Backend::kAvx2:
+      soft_update_avx2(dst, src, n, tau);
+      return;
+    default:
+      break;
+  }
+#endif
+  soft_update_scalar(dst, src, n, tau);
 }
 
 void relu(double* x, std::size_t n) noexcept {
@@ -1913,20 +2540,24 @@ void relu_grad(const double* g, const double* y, double* out,
 }
 
 void col_sums_add(std::size_t rows, std::size_t cols, const double* a,
-                  std::size_t lda, double* out) noexcept {
+                  std::size_t lda, double* out, Store store) noexcept {
+  const bool set = store == Store::kSet;
 #if DEEPCAT_SIMD_X86
   switch (active_backend()) {
     case Backend::kAvx512:
-      col_sums_add_avx512(rows, cols, a, lda, out);
+      set ? col_sums_add_avx512<true>(rows, cols, a, lda, out)
+          : col_sums_add_avx512<false>(rows, cols, a, lda, out);
       return;
     case Backend::kAvx2:
-      col_sums_add_avx2(rows, cols, a, lda, out);
+      set ? col_sums_add_avx2<true>(rows, cols, a, lda, out)
+          : col_sums_add_avx2<false>(rows, cols, a, lda, out);
       return;
     default:
       break;
   }
 #endif
-  col_sums_add_scalar(rows, cols, a, lda, out);
+  set ? col_sums_add_scalar<true>(rows, cols, a, lda, out)
+      : col_sums_add_scalar<false>(rows, cols, a, lda, out);
 }
 
 }  // namespace deepcat::common::simd

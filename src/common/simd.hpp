@@ -20,13 +20,15 @@
 //   4. otherwise the highest tier the CPU supports runs.
 //
 // Numerical contract: vectorized kernels may reassociate reductions and
-// contract mul+add into FMA, so results can differ between tiers in the
-// last bits. The property tests bound the divergence at 1e-12 for the
-// shapes the library uses. Broadcast-style GEMM kernels (gemm_nn/gemm_tn)
-// keep each output element's FMA chain in ascending-k order on every tier
-// and on the packed path, so those agree bit-for-bit across vector tiers;
-// dot-style reductions (dot, gemm_nt) use per-tier accumulator trees and
-// only meet the 1e-12 contract.
+// fuse mul+add into FMA, so results can differ between tiers in the
+// last bits. The fusing is explicit (intrinsics, std::fma in the scalar
+// tails), never left to compiler contraction, so a tier's bits do not
+// depend on the optimization level. The property tests bound the
+// divergence at 1e-12 for the shapes the library uses. Broadcast-style
+// GEMM kernels (gemm_nn/gemm_tn) keep each output element's FMA chain in
+// ascending-k order on every tier and on the packed path, so those agree
+// bit-for-bit across vector tiers; dot-style reductions (dot, gemm_nt)
+// use per-tier accumulator trees and only meet the 1e-12 contract.
 #pragma once
 
 #include <cstddef>
@@ -175,7 +177,9 @@ void axpy(double alpha, const double* x, double* y, std::size_t n) noexcept;
 ///   v[i]   = beta2 * v[i] + (1 - beta2) * g^2
 ///   value[i] -= lr * (m[i] / bc1) / (sqrt(v[i] / bc2) + eps)
 /// Identical formula on every backend (bias corrections passed as the
-/// divisors bc1/bc2, exactly like the scalar reference).
+/// divisors bc1/bc2, exactly like the scalar reference). When bc1 == 1.0
+/// (1 - 0.9^t rounds to 1.0 for every t >= 356) the m[i] / bc1 divide is
+/// skipped on every tier: x / 1.0 == x exactly, so no bit changes.
 void adam_update(double* value, const double* grad, double* m, double* v,
                  std::size_t n, double scale, double beta1, double beta2,
                  double bc1, double bc2, double lr, double eps) noexcept;
@@ -203,6 +207,21 @@ void adam_update_clipped(const AdamTensor* tensors, std::size_t count,
                          double bc1, double bc2, double lr,
                          double eps) noexcept;
 
+/// dst[i] = tau * src[i] + (1 - tau) * dst[i] — the target-network soft
+/// update. Both products and the sum round separately (no FMA) on every
+/// tier, so the vector tiers match the scalar formula bit for bit.
+void soft_update(double* dst, const double* src, std::size_t n,
+                 double tau) noexcept;
+
+// ---- Output store mode ----------------------------------------------------
+
+/// How a kernel combines its result with its output. kAdd accumulates
+/// (out += result). kSet overwrites, bit for bit as if `out` had been
+/// zero-filled first and then accumulated into: register accumulators
+/// start at +0.0 instead of the stored value, and `out += s` epilogues
+/// store +0.0 + s. Under kSet the output's old contents are never read.
+enum class Store : int { kAdd = 0, kSet = 1 };
+
 // ---- Element-wise layer kernels ------------------------------------------
 // The dense-layer epilogues. Branch-free on every tier (a compare mask, not
 // a data-dependent jump: hidden activations have random signs, so a branch
@@ -221,14 +240,24 @@ void relu_grad(const double* g, const double* y, double* out,
 /// ascending row order — the bias-gradient column sum, vectorized across
 /// columns with each column's addition order unchanged.
 void col_sums_add(std::size_t rows, std::size_t cols, const double* a,
-                  std::size_t lda, double* out) noexcept;
+                  std::size_t lda, double* out,
+                  Store store = Store::kAdd) noexcept;
 
 // ---- Level-3 GEMM kernels ----------------------------------------------
 // All accumulate into C (C += ...), so the caller controls the epilogue
-// start state: zero-filled for a plain product, bias-broadcast rows for the
-// fused linear-layer forward. Leading dimensions are element strides.
-// Every variant dispatches across the ISA ladder and, at packed sizes
-// (see packed_gemm_min_dim()), through the L2-tiled packed path.
+// start state: bias-broadcast rows for the fused linear-layer forward, or
+// Store::kSet (gemm_tn, gemm_nt) for a plain product without a separate
+// zero-fill. Leading dimensions are element strides. Every variant
+// dispatches across the ISA ladder and, at packed sizes (see
+// packed_gemm_min_dim()), through the L2-tiled packed path.
+//
+// The 1-wide shapes of a critic's 128->1 head take exact fast paths on the
+// vector tiers, each keeping every output's arithmetic: n == 1 (gemm_nn,
+// gemm_tn) is one FMA chain per row from +0.0 in ascending k, then C += s,
+// with the rows vectorized across lanes; k == 1 (gemm_nt) is
+// C += fma(a, b, +0.0). A single-row gemm_nn (the Twin-Q screen, act)
+// keeps sixteen (avx512) or eight (avx2) accumulators in flight instead of
+// two, each column still one chain from its stored value.
 
 /// C(m x n) += A(m x k) * B(k x n). Register-blocked broadcast-A /
 /// streamed-B micro-kernel on the vector tiers (4x8 on avx2; 8x16 over
@@ -242,7 +271,7 @@ void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const double* a,
 /// C(m x n) += A^T * B where A is stored (k x m): C[i][j] += A[p][i]*B[p][j].
 void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
-             std::size_t ldc) noexcept;
+             std::size_t ldc, Store store = Store::kAdd) noexcept;
 
 /// C(m x n) += A * B^T where B is stored (n x k): C[i][j] += dot(A[i], B[j]).
 /// The vector tiers block 4 A rows x 4 B rows (avx512) or 4 x 2 (avx2, whose
@@ -253,6 +282,6 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
 /// multiple of 4 take dot(). Blocking therefore changes no bits.
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
-             std::size_t ldc) noexcept;
+             std::size_t ldc, Store store = Store::kAdd) noexcept;
 
 }  // namespace deepcat::common::simd

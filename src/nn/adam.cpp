@@ -23,13 +23,14 @@ void Adam::step() {
   ++t_;
   const double bc1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
-  std::vector<common::simd::AdamTensor> tensors;
-  tensors.reserve(params_.size());
+  // Rebuilt per step (the bound matrices may have been reassigned), into a
+  // kept vector so a warm step allocates nothing.
+  tensors_.clear();
   for (std::size_t i = 0; i < params_.size(); ++i) {
-    tensors.push_back({params_[i].value->data(), params_[i].grad->data(),
-                       m_[i].data(), v_[i].data(), params_[i].value->size()});
+    tensors_.push_back({params_[i].value->data(), params_[i].grad->data(),
+                        m_[i].data(), v_[i].data(), params_[i].value->size()});
   }
-  common::simd::adam_update_clipped(tensors.data(), tensors.size(),
+  common::simd::adam_update_clipped(tensors_.data(), tensors_.size(),
                                     config_.grad_clip, config_.beta1,
                                     config_.beta2, bc1, bc2, config_.lr,
                                     config_.eps);

@@ -4,6 +4,7 @@
 #include <iosfwd>
 #include <vector>
 
+#include "common/simd.hpp"
 #include "nn/layers.hpp"
 
 namespace deepcat::nn {
@@ -56,6 +57,7 @@ class Adam {
  private:
   std::vector<Param> params_;
   std::vector<Matrix> m_, v_;
+  std::vector<common::simd::AdamTensor> tensors_;  ///< step() scratch
   AdamConfig config_;
   std::size_t t_ = 0;
 };

@@ -41,7 +41,8 @@ const Matrix& Linear::backward(const Matrix& grad_out) {
   return backward(grad_out, Backprop::kFull);
 }
 
-const Matrix& Linear::backward(const Matrix& grad_out, Backprop mode) {
+const Matrix& Linear::backward(const Matrix& grad_out, Backprop mode,
+                               GradStore store) {
   if (x_ == nullptr) {
     throw std::logic_error("Linear::backward: no forward pass to differentiate");
   }
@@ -49,8 +50,13 @@ const Matrix& Linear::backward(const Matrix& grad_out, Backprop mode) {
     throw std::invalid_argument("Linear::backward: gradient shape mismatch");
   }
   if (mode != Backprop::kInputOnly) {
-    matmul_tn_add(*x_, grad_out, gw_);
-    col_sums_add(grad_out, gb_);
+    if (store == GradStore::kOverwrite) {
+      matmul_tn_into(*x_, grad_out, gw_);
+      col_sums_into(grad_out, gb_);
+    } else {
+      matmul_tn_add(*x_, grad_out, gw_);
+      col_sums_add(grad_out, gb_);
+    }
   }
   if (mode == Backprop::kParamsOnly) return empty_matrix();
   matmul_nt_into(grad_out, w_, dx_);

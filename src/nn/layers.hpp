@@ -36,6 +36,13 @@ enum class Backprop {
   kInputOnly,   ///< dL/dx only; parameter gradients left untouched
 };
 
+/// How a backward pass stores parameter gradients. kAccumulate adds onto
+/// what the gradients hold (the zero_grad()-then-backward protocol);
+/// kOverwrite writes them as if they had been zeroed first, bit for bit
+/// (simd::Store::kSet), so a caller that writes each gradient once per
+/// update needs no zero_grad() pass.
+enum class GradStore { kAccumulate, kOverwrite };
+
 /// Abstract differentiable layer.
 class Layer {
  public:
@@ -75,9 +82,11 @@ class Linear final : public Layer {
   const Matrix& forward_fused(const Matrix& x, Activation act);
   const Matrix& backward(const Matrix& grad_out) override;
   /// backward() restricted to the gradients `mode` asks for. gw/gb
-  /// accumulate in place (gemm_tn's C +=, a column sum added to gb).
-  /// Returns dL/dx, or an empty matrix under Backprop::kParamsOnly.
-  const Matrix& backward(const Matrix& grad_out, Backprop mode);
+  /// accumulate in place (gemm_tn's C +=, a column sum added to gb), or
+  /// are overwritten under GradStore::kOverwrite. Returns dL/dx, or an
+  /// empty matrix under Backprop::kParamsOnly.
+  const Matrix& backward(const Matrix& grad_out, Backprop mode,
+                         GradStore store = GradStore::kAccumulate);
   std::vector<Param> params() override;
   void zero_grad() override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;

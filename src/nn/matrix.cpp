@@ -120,9 +120,20 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
 }
 
 Matrix matmul_tn(const Matrix& a, const Matrix& b) {
-  Matrix c(a.cols(), b.cols());
-  matmul_tn_add(a, b, c);
+  Matrix c;
+  matmul_tn_into(a, b, c);
   return c;
+}
+
+void matmul_tn_into(const Matrix& a, const Matrix& b, Matrix& c) {
+  if (a.rows() != b.rows()) {
+    throw std::invalid_argument("matmul_tn: inner dimension mismatch");
+  }
+  // Store::kSet writes what zero-fill-then-accumulate would (simd.hpp).
+  c.resize(a.cols(), b.cols());
+  common::simd::gemm_tn(a.cols(), b.cols(), a.rows(), a.data(), a.cols(),
+                        b.data(), b.cols(), c.data(), c.cols(),
+                        common::simd::Store::kSet);
 }
 
 void matmul_tn_add(const Matrix& a, const Matrix& b, Matrix& c) {
@@ -146,12 +157,12 @@ void matmul_nt_into(const Matrix& a, const Matrix& b, Matrix& c) {
   if (a.cols() != b.cols()) {
     throw std::invalid_argument("matmul_nt: inner dimension mismatch");
   }
-  // The kernel accumulates, so the output starts from +0.0 exactly as a
-  // freshly allocated matrix would.
+  // Store::kSet: the output starts from +0.0 exactly as a freshly
+  // allocated matrix would, without a separate zero-fill pass.
   c.resize(a.rows(), b.rows());
-  c.set_zero();
   common::simd::gemm_nt(a.rows(), b.rows(), a.cols(), a.data(), a.cols(),
-                        b.data(), b.cols(), c.data(), c.cols());
+                        b.data(), b.cols(), c.data(), c.cols(),
+                        common::simd::Store::kSet);
 }
 
 Matrix matmul_bias_act(const Matrix& x, const Matrix& w, const Matrix& bias,
@@ -252,9 +263,15 @@ void add_row_broadcast(Matrix& m, const Matrix& bias) {
 }
 
 Matrix col_sums(const Matrix& m) {
-  Matrix s(1, m.cols());
-  col_sums_add(m, s);
+  Matrix s;
+  col_sums_into(m, s);
   return s;
+}
+
+void col_sums_into(const Matrix& m, Matrix& s) {
+  s.resize(1, m.cols());
+  common::simd::col_sums_add(m.rows(), m.cols(), m.data(), m.cols(),
+                             s.data(), common::simd::Store::kSet);
 }
 
 void col_sums_add(const Matrix& m, Matrix& s) {

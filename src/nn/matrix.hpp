@@ -100,6 +100,8 @@ class Matrix {
 
 /// c = A * B^T.
 void matmul_nt_into(const Matrix& a, const Matrix& b, Matrix& c);
+/// c = A^T * B.
+void matmul_tn_into(const Matrix& a, const Matrix& b, Matrix& c);
 /// c += A^T * B; c must already be (a.cols() x b.cols()).
 void matmul_tn_add(const Matrix& a, const Matrix& b, Matrix& c);
 
@@ -140,6 +142,9 @@ void add_row_broadcast(Matrix& m, const Matrix& bias);
 
 /// Column-wise sum producing a 1 x cols row vector.
 [[nodiscard]] Matrix col_sums(const Matrix& m);
+
+/// s = col_sums(m) into `s` (resized, allocation reused).
+void col_sums_into(const Matrix& m, Matrix& s);
 
 /// s += col_sums(m); s must already be 1 x m.cols().
 void col_sums_add(const Matrix& m, Matrix& s);

@@ -5,6 +5,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "common/simd.hpp"
+
 namespace deepcat::nn {
 
 Mlp::Mlp(const std::vector<std::size_t>& dims, common::Rng& rng,
@@ -64,14 +66,15 @@ const Matrix& Mlp::forward(const Matrix& x) {
   return *y;
 }
 
-const Matrix& Mlp::backward(const Matrix& grad_out, Backprop mode) {
+const Matrix& Mlp::backward(const Matrix& grad_out, Backprop mode,
+                            GradStore store) {
   const Matrix* g = &grad_out;
   for (std::size_t i = layers_.size(); i-- > 0;) {
     if (auto* linear = dynamic_cast<Linear*>(layers_[i].get())) {
       // kInputOnly holds for every layer; kParamsOnly only drops the first
       // layer's dX, which every layer above still needs.
       const bool own = i == 0 || mode == Backprop::kInputOnly;
-      g = &linear->backward(*g, own ? mode : Backprop::kFull);
+      g = &linear->backward(*g, own ? mode : Backprop::kFull, store);
     } else {
       g = &layers_[i]->backward(*g);
     }
@@ -98,20 +101,49 @@ std::vector<double> Mlp::forward_one(std::span<const double> x) {
   return {y.flat().begin(), y.flat().end()};
 }
 
-void Mlp::soft_update_from(Mlp& src, double tau) {
-  auto dst_params = params();
-  auto src_params = src.params();
-  if (dst_params.size() != src_params.size()) {
-    throw std::invalid_argument("soft_update_from: layer structure mismatch");
+namespace {
+
+// The next Linear layer at or after `i`, or null past the end; advances i.
+Linear* next_linear(std::vector<std::unique_ptr<Layer>>& layers,
+                    std::size_t& i) {
+  for (; i < layers.size(); ++i) {
+    if (auto* linear = dynamic_cast<Linear*>(layers[i].get())) return linear;
   }
-  for (std::size_t i = 0; i < dst_params.size(); ++i) {
-    Matrix& d = *dst_params[i].value;
-    const Matrix& s = *src_params[i].value;
-    if (d.rows() != s.rows() || d.cols() != s.cols()) {
-      throw std::invalid_argument("soft_update_from: shape mismatch");
-    }
-    for (std::size_t k = 0; k < d.size(); ++k) {
-      d.flat()[k] = tau * s.flat()[k] + (1.0 - tau) * d.flat()[k];
+  return nullptr;
+}
+
+bool same_shape(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols();
+}
+
+}  // namespace
+
+void Mlp::soft_update_from(Mlp& src, double tau) {
+  // Pairs the two stacks' Linear layers in order (the order params() lists
+  // their tensors in) without building the parameter lists, and checks
+  // every shape before the second pass touches a weight.
+  for (const bool apply : {false, true}) {
+    for (std::size_t i = 0, j = 0;; ++i, ++j) {
+      Linear* d = next_linear(layers_, i);
+      Linear* s = next_linear(src.layers_, j);
+      if (d == nullptr || s == nullptr) {
+        if (d != s) {
+          throw std::invalid_argument(
+              "soft_update_from: layer structure mismatch");
+        }
+        break;
+      }
+      if (!apply) {
+        if (!same_shape(d->weights(), s->weights()) ||
+            !same_shape(d->bias(), s->bias())) {
+          throw std::invalid_argument("soft_update_from: shape mismatch");
+        }
+        continue;
+      }
+      common::simd::soft_update(d->weights().data(), s->weights().data(),
+                                d->weights().size(), tau);
+      common::simd::soft_update(d->bias().data(), s->bias().data(),
+                                d->bias().size(), tau);
     }
   }
 }

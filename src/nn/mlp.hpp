@@ -37,9 +37,12 @@ class Mlp {
   /// Backward through the whole stack; returns dL/dx, or an empty matrix
   /// under Backprop::kParamsOnly (the first layer's dL/dx is never
   /// computed). Backprop::kInputOnly leaves every parameter gradient as it
-  /// was. A moved Mlp needs a fresh forward() before backward().
+  /// was. GradStore::kOverwrite writes the parameter gradients instead of
+  /// accumulating them, which stands in for a preceding zero_grad(). A
+  /// moved Mlp needs a fresh forward() before backward().
   const Matrix& backward(const Matrix& grad_out,
-                         Backprop mode = Backprop::kFull);
+                         Backprop mode = Backprop::kFull,
+                         GradStore store = GradStore::kAccumulate);
 
   void zero_grad();
   [[nodiscard]] std::vector<Param> params();
@@ -48,7 +51,8 @@ class Mlp {
   /// 1-row workspace, so the call leaves no dangling forward input).
   [[nodiscard]] std::vector<double> forward_one(std::span<const double> x);
 
-  /// this = tau * src + (1 - tau) * this, parameter-wise. Shapes must match.
+  /// this = tau * src + (1 - tau) * this, parameter-wise (simd::soft_update:
+  /// two products and a sum, each rounded). Shapes must match.
   void soft_update_from(Mlp& src, double tau);
   /// this = src (hard copy of parameters).
   void copy_params_from(Mlp& src);

@@ -149,7 +149,6 @@ Td3TrainStats Td3Agent::train_step(ReplayBuffer& buffer, common::Rng& rng) {
 
   auto update_critic = [&](nn::Mlp& critic, nn::Adam& opt,
                            bool record_td) -> double {
-    critic.zero_grad();
     const nn::Matrix& pred = critic.forward(critic_in_);
     // Importance-weighted MSE (weights are 1.0 for uniform/RDPER).
     double loss = 0.0;
@@ -160,8 +159,11 @@ Td3TrainStats Td3Agent::train_step(ReplayBuffer& buffer, common::Rng& rng) {
       td_grad_(i, 0) = 2.0 * w * diff / static_cast<double>(m);
       if (record_td) td_errors_[i] = diff;
     }
-    // dL/d(critic input) is never read: skip the first layer's dX.
-    critic.backward(td_grad_, nn::Backprop::kParamsOnly);
+    // dL/d(critic input) is never read: skip the first layer's dX. Each
+    // parameter gradient is written once, so it is stored, not added to a
+    // zero-filled one (no zero_grad pass).
+    critic.backward(td_grad_, nn::Backprop::kParamsOnly,
+                    nn::GradStore::kOverwrite);
     opt.step();
     return loss / static_cast<double>(m);
   };
@@ -173,11 +175,10 @@ Td3TrainStats Td3Agent::train_step(ReplayBuffer& buffer, common::Rng& rng) {
   ++steps_;
   // Delayed policy + target updates (TD3 trick #2).
   if (steps_ % config_.policy_delay == 0) {
-    update_actor();
+    stats.actor_loss = update_actor();
     actor_target_.soft_update_from(actor_, config_.tau);
     critic1_target_.soft_update_from(critic1_, config_.tau);
     critic2_target_.soft_update_from(critic2_, config_.tau);
-    stats.actor_loss = actor_loss();
   }
   if (obs_train_steps_ != nullptr) {
     obs_train_steps_->add(1);
@@ -196,30 +197,26 @@ Td3TrainStats Td3Agent::train_step(ReplayBuffer& buffer, common::Rng& rng) {
   return stats;
 }
 
-void Td3Agent::update_actor() {
+double Td3Agent::update_actor() {
   // Maximize Q1(s, pi(s)): gradient of -mean(Q1) w.r.t. actor parameters,
   // chained through the critic input (paper Eq. 4 decomposition). The
   // critic pass produces dQ/d(input) only — its parameter gradients would
   // be discarded — and the actor needs no dL/d(state).
-  actor_.zero_grad();
   concat_cols(states_, actor_.forward(states_), policy_in_);
   const nn::Matrix& q = critic1_.forward(policy_in_);
+  double q_mean = 0.0;
+  for (std::size_t i = 0; i < q.rows(); ++i) q_mean += q(i, 0);
+  const double loss = -q_mean / static_cast<double>(q.rows());
 
   dq_.resize(q.rows(), 1);
   dq_.fill(-1.0 / static_cast<double>(q.rows()));  // d(-mean Q)/dQ
   const nn::Matrix& d_input = critic1_.backward(dq_, nn::Backprop::kInputOnly);
   right_cols(d_input, config_.action_dim, d_action_);
 
-  actor_.backward(d_action_, nn::Backprop::kParamsOnly);
+  actor_.backward(d_action_, nn::Backprop::kParamsOnly,
+                  nn::GradStore::kOverwrite);
   actor_opt_.step();
-}
-
-double Td3Agent::actor_loss() {
-  concat_cols(states_, actor_.forward(states_), policy_in_);
-  const nn::Matrix& q = critic1_.forward(policy_in_);
-  double q_mean = 0.0;
-  for (std::size_t i = 0; i < q.rows(); ++i) q_mean += q(i, 0);
-  return -q_mean / static_cast<double>(q.rows());
+  return loss;
 }
 
 std::vector<std::pair<const char*, nn::Mlp*>> Td3Agent::networks() {

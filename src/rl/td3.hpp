@@ -37,7 +37,11 @@ struct Td3Config {
   obs::Sink obs{};
 };
 
-/// Losses from one training step (actor_loss absent on non-policy steps).
+/// Losses from one training step. Each critic loss is the weighted MSE of
+/// its prediction before the step's update. actor_loss, present on policy
+/// steps only, is -mean Q1(s, pi(s)) over the batch from the forward the
+/// policy update differentiates — also the pre-update value (the loss
+/// reference TD3 implementations log), so reporting it costs no extra pass.
 struct Td3TrainStats {
   double critic1_loss = 0.0;
   double critic2_loss = 0.0;
@@ -94,10 +98,9 @@ class Td3Agent {
   void load(std::istream& is);
 
  private:
-  /// Policy-gradient step on the states packed in states_.
-  void update_actor();
-  /// -mean Q1(s, pi(s)) over states_, for reporting.
-  double actor_loss();
+  /// Policy-gradient step on the states packed in states_; returns the
+  /// pre-update -mean Q1(s, pi(s)).
+  double update_actor();
 
   Td3Config config_;
   nn::Mlp actor_, actor_target_;

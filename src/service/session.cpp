@@ -110,22 +110,24 @@ rl::SampledBatch SharedRdperReplay::sample(std::size_t m, common::Rng& rng) {
   rl::SampledBatch batch;
   batch.weights.assign(m, 1.0);
   batch.ids.reserve(m);
-  scratch_.clear();
-  scratch_.reserve(m);
+  scratch_.resize(m);
   {
     // Shared lock only for the master reads; indices below master size hit
     // the frozen master storage, the rest the private overlay. Each drawn
-    // transition is copied into scratch_ so the batch's pointers stay valid
-    // without holding the lock through the training step.
+    // transition is copy-assigned into a kept scratch_ slot (its vectors
+    // reuse their capacity, so a warm draw allocates nothing) and the
+    // batch's pointers stay valid without holding the lock through the
+    // training step.
     std::shared_lock lock(mutex_);
+    std::size_t slot = 0;
     const auto draw = [&](std::span<const rl::Transition> master_pool,
                           const std::vector<rl::Transition>& local_pool,
                           std::size_t total, std::size_t count) {
       for (std::size_t i = 0; i < count; ++i) {
         const std::size_t idx = rng.index(total);
-        scratch_.push_back(idx < master_pool.size()
+        scratch_[slot++] = idx < master_pool.size()
                                ? master_pool[idx]
-                               : local_pool[idx - master_pool.size()]);
+                               : local_pool[idx - master_pool.size()];
         batch.ids.push_back(idx);
       }
     };

@@ -14,6 +14,7 @@
 #include "obs/tracer.hpp"
 #include "service/jsonl.hpp"
 #include "service/wire.hpp"
+#include "test_paths.hpp"
 
 namespace deepcat::cli {
 namespace {
@@ -138,7 +139,7 @@ TEST(CliCommandsTest, TuneRejectsBadExportFormat) {
 }
 
 TEST(CliCommandsTest, ServeStreamEndToEndOverWireFiles) {
-  const std::string dir = ::testing::TempDir() + "deepcat_cli_stream";
+  const std::string dir = tests::unique_temp_path("deepcat_cli_stream");
   std::filesystem::remove_all(dir);
   const std::string in_path = dir + "/in.wire";
   const std::string out_path = dir + "/out.wire";
@@ -190,7 +191,7 @@ TEST(CliCommandsTest, ServeStreamTranscriptIndependentOfThreadsAndShards) {
   // admission order and the TELE/METR aggregates are recorded in that
   // order, so the wire output is byte-identical across pool and shard
   // layouts.
-  const std::string dir = ::testing::TempDir() + "deepcat_cli_layouts";
+  const std::string dir = tests::unique_temp_path("deepcat_cli_layouts");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string registry = dir + "/registry";
@@ -248,7 +249,7 @@ TEST(CliCommandsTest, ServeStreamTranscriptIndependentOfThreadsAndShards) {
 }
 
 TEST(CliObsCommandsTest, ServeStreamWritesChromeTraceAndMetricsFiles) {
-  const std::string dir = ::testing::TempDir() + "deepcat_cli_stream_obs";
+  const std::string dir = tests::unique_temp_path("deepcat_cli_stream_obs");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string in_path = dir + "/in.wire";
@@ -324,7 +325,7 @@ TEST(CliObsCommandsTest, ServeStreamWritesChromeTraceAndMetricsFiles) {
 }
 
 TEST(CliObsCommandsTest, ServeStreamIncrementalTraceAndTeleFrames) {
-  const std::string dir = ::testing::TempDir() + "deepcat_cli_trace_stream";
+  const std::string dir = tests::unique_temp_path("deepcat_cli_trace_stream");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string in_path = dir + "/in.wire";
@@ -395,7 +396,7 @@ TEST(CliObsCommandsTest, ServeStreamIncrementalTraceAndTeleFrames) {
 }
 
 TEST(CliObsCommandsTest, ServeStreamRejectsBothTraceModes) {
-  const std::string dir = ::testing::TempDir() + "deepcat_cli_trace_both";
+  const std::string dir = tests::unique_temp_path("deepcat_cli_trace_both");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   std::ostringstream os;
@@ -409,7 +410,7 @@ TEST(CliObsCommandsTest, ServeStreamRejectsBothTraceModes) {
 
 #ifndef _WIN32
 TEST(CliObsCommandsTest, StatsPollsATeleSnapshotOverTheSocket) {
-  const std::string dir = ::testing::TempDir() + "deepcat_cli_stats";
+  const std::string dir = tests::unique_temp_path("deepcat_cli_stats");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string sock = dir + "/serve.sock";
@@ -455,7 +456,7 @@ TEST(CliCommandsTest, StatsWithoutSocketFlagFails) {
 TEST(CliObsCommandsTest, ServeStreamAcceptsJsonlRequestsBridge) {
   // --requests frames each JSONL line as a REQ plus a clean END, so smoke
   // tests can drive the wire path without a frame encoder.
-  const std::string dir = ::testing::TempDir() + "deepcat_cli_req_bridge";
+  const std::string dir = tests::unique_temp_path("deepcat_cli_req_bridge");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string req_path = dir + "/req.jsonl";
@@ -496,7 +497,7 @@ TEST(CliCommandsTest, ServeBatchServesScopedAndWarmLinesFromTheOneMaster) {
   // it there: a "scope" is only echoed back, a "warm" count or a trace
   // context is ignored. So a batch with those keys must answer and publish
   // exactly what the same batch without them does.
-  const std::string dir = ::testing::TempDir() + "deepcat_cli_batch_keys";
+  const std::string dir = tests::unique_temp_path("deepcat_cli_batch_keys");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string keyed_reg = dir + "/keyed";
@@ -570,7 +571,7 @@ TEST(CliCommandsTest, ServeBatchServesScopedAndWarmLinesFromTheOneMaster) {
 }
 
 TEST(CliObsCommandsTest, ServeStreamRejectsUnknownClock) {
-  const std::string dir = ::testing::TempDir() + "deepcat_cli_clock_bad";
+  const std::string dir = tests::unique_temp_path("deepcat_cli_clock_bad");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   std::ostringstream os;
@@ -583,7 +584,7 @@ TEST(CliObsCommandsTest, ServeStreamRejectsUnknownClock) {
 }
 
 TEST(CliCommandsTest, ServeStreamCorruptInputExitsNonzeroWithErrFrame) {
-  const std::string dir = ::testing::TempDir() + "deepcat_cli_stream_bad";
+  const std::string dir = tests::unique_temp_path("deepcat_cli_stream_bad");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string in_path = dir + "/in.wire";
@@ -622,7 +623,7 @@ TEST(CliCommandsTest, ServeStreamCorruptInputExitsNonzeroWithErrFrame) {
 }
 
 TEST(CliCommandsTest, ServeStreamRequiresABootstrappedModel) {
-  const std::string dir = ::testing::TempDir() + "deepcat_cli_stream_empty";
+  const std::string dir = tests::unique_temp_path("deepcat_cli_stream_empty");
   std::filesystem::remove_all(dir);
   std::ostringstream os;
   EXPECT_EQ(run_cli({"serve", "--stream", "1", "--checkpoint", dir}, os), 1);

@@ -19,13 +19,14 @@
 #include "service/checkpoint.hpp"
 #include "service/jsonl.hpp"
 #include "service/wire.hpp"
+#include "test_paths.hpp"
 
 namespace deepcat::cli {
 namespace {
 
 /// Creates a registry with a small published model and returns its dir.
 std::string make_registry(const std::string& tag) {
-  const std::string dir = ::testing::TempDir() + "deepcat_warm_cli_" + tag;
+  const std::string dir = tests::unique_temp_path("deepcat_warm_cli_" + tag);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string in_path = dir + "/empty.wire";
@@ -220,7 +221,7 @@ TEST(CliWarmTest, IndexSubcommandValidation) {
             std::string::npos);
 
   // Querying a file that is not an index container fails typed.
-  const std::string bogus = ::testing::TempDir() + "warm_cli_bogus.dcix";
+  const std::string bogus = tests::unique_temp_path("warm_cli_bogus", ".dcix");
   {
     std::ofstream f(bogus, std::ios::binary | std::ios::trunc);
     f << "not a container";

@@ -1,9 +1,13 @@
 // Bit-exactness properties of the dense-layer kernels on every selectable
 // ISA tier: the register-blocked gemm_nt against a per-output model of the
 // 1x4 dot kernel it replaced, gemm_nn / gemm_tn against their per-element
-// FMA chains, and the branch-free ReLU / ReLU-gradient / column-sum
-// kernels against their scalar formulas. Equality is memcmp, not
-// a tolerance: the TD3 train step must produce the same bits as before.
+// FMA chains, the branch-free ReLU / ReLU-gradient / column-sum kernels
+// against their scalar formulas, and the train step's fast paths (the
+// 1-wide critic head's k == 1 and n == 1 GEMMs, the 1-row GEMM,
+// Store::kSet, Adam without the bc1 == 1 divide, the soft update) against
+// the same models with signed zeros, NaNs and infinities in the inputs.
+// Equality is memcmp, not a tolerance: the TD3 train step must produce the
+// same bits as before.
 #include "common/simd.hpp"
 
 #include <gtest/gtest.h>
@@ -39,17 +43,33 @@ std::vector<double> random_vec(std::size_t n, Rng& rng) {
 }
 
 bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  // memcmp must not see the null data() of an empty vector.
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+// memcmp equality, except that any two NaNs match: with several NaN
+// operands x86 returns the first source operand's payload, and which
+// operand comes first in a commutative instruction is the compiler's
+// choice, in the kernels and in the models alike.
+bool same_value(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!(std::isnan(a[i]) && std::isnan(b[i])) && !same_bits(a[i], b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // One output of the 1x4 dot kernel on a vector tier: a single accumulator
 // of `lanes` lanes over p (per-lane FMA), that tier's horizontal sum, then
-// the scalar tail in ascending p (the kernels' contracted s += a*b).
+// the scalar tail in ascending p (the kernels' s = fma(a, b, s)).
 double blocked_dot_model(const double* a, const double* b, std::size_t k,
                          std::size_t lanes) {
   double acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
@@ -295,6 +315,250 @@ TEST(SimdLayerKernelTest, ColSumsAddKeepsRowOrderPerColumn) {
         }
         EXPECT_TRUE(same_bits(got, want))
             << backend_label(be) << " rows=" << rows << " cols=" << cols;
+      }
+    }
+  }
+}
+
+// ---- The train step's fast paths, with special values --------------------
+
+// Leading-dimension padding: 0 takes the contiguous (vector) loads and
+// stores of the 1-wide paths, 2 their strided scalar fallbacks.
+const std::size_t kPads[] = {0, 2};
+
+TEST(SimdLayerKernelTest, GemmNtK1MatchesDotModelWithSpecialValues) {
+  BackendGuard guard;
+  Rng rng(46);
+  for (const Backend be : selectable_backends()) {
+    force_backend(be);
+    for (const std::size_t pad : kPads) {
+      for (const std::size_t m : {1u, 5u, 64u}) {
+        for (const std::size_t n : {1u, 3u, 8u, 128u, 131u}) {
+          const std::size_t k = 1, lda = k + pad, ldb = k + pad, ldc = n + pad;
+          const auto a = special_values(m * lda, rng);
+          const auto b = special_values(n * ldb, rng);
+          const auto c0 = special_values(m * ldc, rng);
+          auto got = c0;
+          auto want = c0;
+          gemm_nt(m, n, k, a.data(), lda, b.data(), ldb, got.data(), ldc);
+          gemm_nt_model(be, m, n, k, a.data(), lda, b.data(), ldb,
+                        want.data(), ldc);
+          EXPECT_TRUE(same_value(got, want))
+              << backend_label(be) << " m=" << m << " n=" << n
+              << " pad=" << pad;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdLayerKernelTest, GemmNnTnN1MatchChainModelWithSpecialValues) {
+  BackendGuard guard;
+  Rng rng(47);
+  for (const Backend be : selectable_backends()) {
+    force_backend(be);
+    for (const bool transposed_a : {false, true}) {
+      for (const std::size_t pad : kPads) {
+        for (const std::size_t m : {1u, 3u, 7u, 8u, 9u, 33u, 64u, 67u, 128u}) {
+          for (const std::size_t k : {1u, 7u, 8u, 9u, 41u, 128u}) {
+            const std::size_t n = 1;
+            const std::size_t lda = (transposed_a ? m : k) + pad;
+            const std::size_t ldb = n + pad, ldc = n + pad;
+            const auto a = special_values((transposed_a ? k : m) * lda, rng);
+            const auto b = special_values(k * ldb, rng);
+            const auto c0 = special_values(m * ldc, rng);
+            auto got = c0;
+            auto want = c0;
+            if (transposed_a) {
+              gemm_tn(m, n, k, a.data(), lda, b.data(), ldb, got.data(), ldc);
+            } else {
+              gemm_nn(m, n, k, a.data(), lda, b.data(), ldb, got.data(), ldc);
+            }
+            broadcast_gemm_model(be, transposed_a, m, n, k, a.data(), lda,
+                                 b.data(), ldb, want.data(), ldc);
+            EXPECT_TRUE(same_value(got, want))
+                << backend_label(be) << (transposed_a ? " tn" : " nn")
+                << " m=" << m << " k=" << k << " pad=" << pad;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdLayerKernelTest, GemmNnOneRowMatchesChainModelWithSpecialValues) {
+  BackendGuard guard;
+  Rng rng(48);
+  for (const Backend be : selectable_backends()) {
+    force_backend(be);
+    for (const std::size_t n : {8u, 16u, 32u, 127u, 128u, 129u, 200u, 256u}) {
+      for (const std::size_t k : {1u, 9u, 41u, 128u}) {
+        const std::size_t lda = k + 1, ldb = n + 3, ldc = n + 2;
+        const auto a = special_values(lda, rng);
+        const auto b = special_values(k * ldb, rng);
+        const auto c0 = special_values(ldc, rng);
+        auto got = c0;
+        auto want = c0;
+        gemm_nn(1, n, k, a.data(), lda, b.data(), ldb, got.data(), ldc);
+        broadcast_gemm_model(be, false, 1, n, k, a.data(), lda, b.data(), ldb,
+                             want.data(), ldc);
+        EXPECT_TRUE(same_value(got, want))
+            << backend_label(be) << " n=" << n << " k=" << k;
+      }
+    }
+  }
+}
+
+// Store::kSet against the composition it stands for: zero-fill the output,
+// then accumulate. The kSet output starts as NaN garbage, which it must
+// never read.
+TEST(SimdLayerKernelTest, StoreSetEqualsZeroFillThenAccumulate) {
+  BackendGuard guard;
+  Rng rng(49);
+  const double garbage = std::numeric_limits<double>::quiet_NaN();
+  for (const Backend be : selectable_backends()) {
+    force_backend(be);
+    for (const bool special : {false, true}) {
+      const auto fill = [&](std::size_t len) {
+        return special ? special_values(len, rng) : random_vec(len, rng);
+      };
+      for (const std::size_t m : {1u, 4u, 8u, 9u, 41u, 64u, 128u}) {
+        for (const std::size_t n : {1u, 3u, 8u, 16u, 17u, 32u, 128u}) {
+          for (const std::size_t k : {1u, 7u, 64u}) {
+            const std::size_t ldc = n + 2;
+            std::vector<double> set(m * ldc, garbage), add(m * ldc, 0.0);
+            // gemm_tn: A stored (k x m).
+            const auto at = fill(k * (m + 1));
+            const auto bt = fill(k * (n + 3));
+            gemm_tn(m, n, k, at.data(), m + 1, bt.data(), n + 3, set.data(),
+                    ldc, Store::kSet);
+            gemm_tn(m, n, k, at.data(), m + 1, bt.data(), n + 3, add.data(),
+                    ldc);
+            for (std::size_t i = 0; i < m; ++i) {
+              for (std::size_t j = n; j < ldc; ++j) set[i * ldc + j] = 0.0;
+            }
+            EXPECT_TRUE(same_value(set, add))
+                << backend_label(be) << " tn m=" << m << " n=" << n
+                << " k=" << k;
+            // gemm_nt: B stored (n x k).
+            std::fill(set.begin(), set.end(), garbage);
+            std::fill(add.begin(), add.end(), 0.0);
+            const auto an = fill(m * (k + 1));
+            const auto bn = fill(n * (k + 3));
+            gemm_nt(m, n, k, an.data(), k + 1, bn.data(), k + 3, set.data(),
+                    ldc, Store::kSet);
+            gemm_nt(m, n, k, an.data(), k + 1, bn.data(), k + 3, add.data(),
+                    ldc);
+            for (std::size_t i = 0; i < m; ++i) {
+              for (std::size_t j = n; j < ldc; ++j) set[i * ldc + j] = 0.0;
+            }
+            EXPECT_TRUE(same_value(set, add))
+                << backend_label(be) << " nt m=" << m << " n=" << n
+                << " k=" << k;
+          }
+          // Column sums: m rows of n columns.
+          const auto a = fill(m * (n + 1));
+          std::vector<double> set(n, garbage), add(n, 0.0);
+          col_sums_add(m, n, a.data(), n + 1, set.data(), Store::kSet);
+          col_sums_add(m, n, a.data(), n + 1, add.data());
+          EXPECT_TRUE(same_value(set, add))
+              << backend_label(be) << " col_sums rows=" << m << " cols=" << n;
+        }
+      }
+    }
+  }
+}
+
+// Adam as the tier computes it, with the m / bc1 divide always taken: the
+// vector body's explicit FMAs for the first n - n % lanes elements (lanes
+// = 0 on the scalar tier), the scalar formula for the rest.
+void adam_divide_model(std::size_t lanes, std::size_t n, double* value,
+                       const double* grad, double* m, double* v, double scale,
+                       double beta1, double beta2, double bc1, double bc2,
+                       double lr, double eps) {
+  const std::size_t vector_end = lanes == 0 ? 0 : n - n % lanes;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double g = grad[i] * scale;
+    if (i < vector_end) {
+      m[i] = std::fma(beta1, m[i], (1.0 - beta1) * g);
+      v[i] = std::fma(beta2, v[i], (1.0 - beta2) * (g * g));
+    } else {
+      m[i] = beta1 * m[i] + (1.0 - beta1) * g;
+      v[i] = beta2 * v[i] + (1.0 - beta2) * g * g;
+    }
+    const double m_hat = m[i] / bc1;
+    const double v_hat = v[i] / bc2;
+    value[i] -= (lr * m_hat) / (std::sqrt(v_hat) + eps);
+  }
+}
+
+TEST(SimdLayerKernelTest, AdamUnitBc1SkipsOnlyAnExactDivide) {
+  BackendGuard guard;
+  Rng rng(50);
+  const double beta1 = 0.9, beta2 = 0.999, lr = 1e-3, eps = 1e-8;
+  for (const Backend be : selectable_backends()) {
+    force_backend(be);
+    const std::size_t lanes =
+        be == Backend::kAvx512 ? 8 : (be == Backend::kAvx2 ? 4 : 0);
+    // t = 537 is a served session's first critic step; t = 10 keeps the
+    // divide.
+    for (const double t : {10.0, 356.0, 537.0}) {
+      const double bc1 = 1.0 - std::pow(beta1, t);
+      const double bc2 = 1.0 - std::pow(beta2, t);
+      for (const std::size_t n : kLengths) {
+        for (const bool special : {false, true}) {
+          const auto fill = [&] {
+            return special ? special_values(n, rng) : random_vec(n, rng);
+          };
+          const auto value0 = fill();
+          const auto grad = fill();
+          const auto m0 = fill();
+          auto v0 = fill();
+          if (!special) {
+            for (double& x : v0) x = std::abs(x);
+          }
+          auto value = value0, m = m0, v = v0;
+          auto want_value = value0, want_m = m0, want_v = v0;
+          adam_update(value.data(), grad.data(), m.data(), v.data(), n, 0.5,
+                      beta1, beta2, bc1, bc2, lr, eps);
+          adam_divide_model(lanes, n, want_value.data(), grad.data(),
+                            want_m.data(), want_v.data(), 0.5, beta1, beta2,
+                            bc1, bc2, lr, eps);
+          EXPECT_TRUE(same_value(value, want_value) && same_value(m, want_m) &&
+                      same_value(v, want_v))
+              << backend_label(be) << " t=" << t << " bc1=" << bc1
+              << " n=" << n << (special ? " special" : "");
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdLayerKernelTest, SoftUpdateMatchesScalarFormulaBitForBit) {
+  BackendGuard guard;
+  Rng rng(51);
+  for (const Backend be : selectable_backends()) {
+    force_backend(be);
+    for (const double tau : {0.005, 0.3, 1.0, 0.0}) {
+      for (const std::size_t n : kLengths) {
+        for (const bool special : {false, true}) {
+          const auto src =
+              special ? special_values(n, rng) : random_vec(n, rng);
+          const auto dst0 =
+              special ? special_values(n + 1, rng) : random_vec(n + 1, rng);
+          auto got = dst0;
+          auto want = dst0;
+          soft_update(got.data(), src.data(), n, tau);
+          // Two products and a sum, each rounded: this file is compiled for
+          // the baseline ISA, which has no FMA to contract them into.
+          for (std::size_t i = 0; i < n; ++i) {
+            want[i] = tau * src[i] + (1.0 - tau) * want[i];
+          }
+          // The element past n is never touched (the masked vector tail).
+          EXPECT_TRUE(same_value(got, want))
+              << backend_label(be) << " tau=" << tau << " n=" << n
+              << (special ? " special" : "");
+        }
       }
     }
   }

@@ -28,6 +28,7 @@
 #include "service/sharding.hpp"
 #include "service/streaming.hpp"
 #include "service/wire.hpp"
+#include "test_paths.hpp"
 
 namespace deepcat::net {
 namespace {
@@ -100,8 +101,7 @@ std::size_t count_type(const std::vector<Frame>& frames, FrameType type) {
 }
 
 std::string unique_socket_path(const std::string& tag) {
-  return ::testing::TempDir() + "dcfe_" + tag + "_" +
-         std::to_string(::getpid()) + ".sock";
+  return tests::unique_temp_path("dcfe_" + tag, ".sock");
 }
 
 /// Runs a FrontEnd on its own thread; the test thread plays the clients.

@@ -24,6 +24,7 @@
 #include "service/streaming.hpp"
 #include "service/wire.hpp"
 #include "sparksim/workloads.hpp"
+#include "test_paths.hpp"
 
 namespace deepcat::net {
 namespace {
@@ -58,8 +59,7 @@ std::string read_all_bytes(int fd) {
 }
 
 std::string unique_socket_path(const std::string& tag) {
-  return ::testing::TempDir() + "dcnd_" + tag + "_" +
-         std::to_string(::getpid()) + ".sock";
+  return tests::unique_temp_path("dcnd_" + tag, ".sock");
 }
 
 /// Deterministic arrival permutation: rotate-and-stride, seeded by the

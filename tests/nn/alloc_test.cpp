@@ -1,19 +1,24 @@
 // Heap-allocation accounting for the MLP workspaces: after one warm-up
 // call at batch 64 and one at batch 1, Mlp::forward and Mlp::backward (in
-// every Backprop mode) must not allocate. A replaced global operator new
-// counts every allocation in this binary, so it lives in its own test
-// executable.
+// every Backprop mode) must not allocate, and a warm TD3 train step
+// allocates only its sampled batch — no more through the serving layer's
+// shared replay view than through the RDPER buffer it views. A replaced
+// global operator new counts every allocation in this binary, so it lives
+// in its own test executable.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <new>
+#include <shared_mutex>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "nn/mlp.hpp"
+#include "rl/replay_rdper.hpp"
 #include "rl/td3.hpp"
+#include "service/session.hpp"
 
 namespace {
 std::atomic<unsigned long long> g_allocations{0};
@@ -91,6 +96,46 @@ TEST(MlpAllocationTest, WarmTwinQAllocatesNothing) {
   });
   EXPECT_EQ(n, 0u);
   EXPECT_TRUE(std::isfinite(sink));
+}
+
+rl::Td3Config serving_config() {
+  rl::Td3Config config;
+  config.state_dim = 9;
+  config.action_dim = 32;
+  return config;
+}
+
+TEST(Td3AllocationTest, WarmStepThroughSharedViewAllocatesNoMoreThanRdper) {
+  common::Rng rng(3);
+  const rl::Td3Config config = serving_config();
+  rl::RdperReplay master(1000, {.reward_threshold = 0.0, .beta = 0.6});
+  for (int i = 0; i < 200; ++i) {
+    std::vector<double> s(9), a(32), s2(9);
+    for (double& v : s) v = rng.uniform();
+    for (double& v : a) v = rng.uniform();
+    for (double& v : s2) v = rng.uniform();
+    master.add({s, a, rng.uniform(-3.0, 1.0), s2, false});
+  }
+  std::shared_mutex mutex;
+  service::SharedRdperReplay view(master, mutex);
+
+  common::Rng init_a(5), init_b(5), rng_a(6), rng_b(6);
+  rl::Td3Agent direct(config, init_a), viewed(config, init_b);
+  // Two warm-up steps each: the second is a policy step (policy_delay 2),
+  // so every workspace and the view's scratch batch are sized.
+  for (int i = 0; i < 2; ++i) {
+    (void)direct.train_step(master, rng_a);
+    (void)viewed.train_step(view, rng_b);
+  }
+  for (int i = 0; i < 2; ++i) {
+    const auto through_rdper =
+        allocations_in([&] { (void)direct.train_step(master, rng_a); });
+    const auto through_view =
+        allocations_in([&] { (void)viewed.train_step(view, rng_b); });
+    // The sampled batch's three vectors (transitions, weights, ids).
+    EXPECT_EQ(through_rdper, 3u);
+    EXPECT_LE(through_view, through_rdper);
+  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
+#include "test_paths.hpp"
 
 namespace deepcat::obs {
 namespace {
@@ -174,7 +175,7 @@ TEST(ObsExporterTest, HealthInstrumentsLandInTheRegistry) {
 
 TEST(ObsExporterTest, ChromeTraceFileIsValidAtEveryFlushBoundary) {
   const std::string path =
-      ::testing::TempDir() + "deepcat_exporter_trace.json";
+      tests::unique_temp_path("deepcat_exporter_trace", ".json");
   LogicalClock clock;
   {
     ChromeTraceFileSink sink(path, "logical");

@@ -15,6 +15,7 @@
 #include "service/checkpoint.hpp"
 #include "sparksim/hardware.hpp"
 #include "sparksim/workloads.hpp"
+#include "test_paths.hpp"
 
 namespace deepcat::retrieval {
 namespace {
@@ -82,7 +83,8 @@ TEST(RetrievalIndexIoTest, SerializationIsByteDeterministic) {
 
 TEST(RetrievalIndexIoTest, FileHelpersRoundTripAndLeaveNoTmp) {
   const ExperienceIndex index = sample_index();
-  const std::string path = ::testing::TempDir() + "retrieval_io_test.dcix";
+  const std::string path =
+      tests::unique_temp_path("retrieval_io_test", ".dcix");
   service::save_index_file(path, index);
   // tmp+rename: the staging file must be gone after a successful save.
   EXPECT_FALSE(std::ifstream(path + ".tmp").good());

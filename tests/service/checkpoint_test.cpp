@@ -16,6 +16,7 @@
 #include "rl/replay_rdper.hpp"
 #include "sparksim/hardware.hpp"
 #include "sparksim/workloads.hpp"
+#include "test_paths.hpp"
 
 namespace deepcat::service {
 namespace {
@@ -115,7 +116,7 @@ TEST(CheckpointTest, StringAndFileHelpersRoundTrip) {
   checkpoint_from_string(blob, from_string);
 
   const std::string path =
-      ::testing::TempDir() + "checkpoint_roundtrip_test.dckp";
+      tests::unique_temp_path("checkpoint_roundtrip_test", ".dckp");
   save_checkpoint_file(path, original);
   core::DeepCat from_file(sparksim::cluster_a(), small_options(2));
   load_checkpoint_file(path, from_file);

@@ -15,6 +15,7 @@
 #include "service/checkpoint.hpp"
 #include "service/streaming.hpp"
 #include "sparksim/workloads.hpp"
+#include "test_paths.hpp"
 
 namespace deepcat::service {
 namespace {
@@ -217,7 +218,7 @@ TEST(ServiceTest, MetricsAggregateAcrossBatch) {
 }
 
 TEST(ServiceTest, RegistryPublishesMonotonicVersions) {
-  const std::string dir = ::testing::TempDir() + "deepcat_registry_test";
+  const std::string dir = tests::unique_temp_path("deepcat_registry_test");
   std::filesystem::remove_all(dir);  // stale versions from earlier runs
   ModelRegistry registry(dir);
   EXPECT_FALSE(registry.latest_version("prod").has_value());

@@ -21,6 +21,7 @@
 #include "service/wire.hpp"
 #include "sparksim/hardware.hpp"
 #include "sparksim/workloads.hpp"
+#include "test_paths.hpp"
 
 namespace deepcat::service {
 namespace {
@@ -165,7 +166,7 @@ TEST(StreamingTest, UnknownModelFailsAsReportNotException) {
 }
 
 TEST(StreamingTest, RoutesAcrossModelsAndLazilyLoadsFromRegistry) {
-  const std::string dir = ::testing::TempDir() + "deepcat_streaming_routing";
+  const std::string dir = tests::unique_temp_path("deepcat_streaming_routing");
   std::filesystem::remove_all(dir);
   const auto workload = sparksim::make_workload(WorkloadType::kTeraSort, 3.2);
 
@@ -209,7 +210,7 @@ TEST(StreamingTest, RoutesAcrossModelsAndLazilyLoadsFromRegistry) {
 }
 
 TEST(StreamingTest, EvictionMergesAndRepublishesDirtyModels) {
-  const std::string dir = ::testing::TempDir() + "deepcat_streaming_evict";
+  const std::string dir = tests::unique_temp_path("deepcat_streaming_evict");
   std::filesystem::remove_all(dir);
   const auto workload = sparksim::make_workload(WorkloadType::kTeraSort, 3.2);
   {

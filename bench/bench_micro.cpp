@@ -7,11 +7,9 @@
 //   bench_micro                    google-benchmark suite (default)
 //   bench_micro --json[=path]      kernel benchmark: times every GEMM/fused
 //                                  kernel once per selectable ISA tier
-//                                  (scalar/avx2/avx512 columns), register-
-//                                  blocked vs L2-tiled packed GEMM at sizes
-//                                  past the packing threshold, and GP refit
-//                                  wall time at n={512,1024,2048} with
-//                                  thread pools of {1,4,16}; every ns value
+//                                  (scalar/avx2/avx512 columns) and the
+//                                  serial GP refit wall time at
+//                                  n={512,1024,2048}; every ns value
 //                                  is a min-of-N with the rep count in the
 //                                  export, emitted through the obs metrics
 //                                  exporter — a build-info line followed by
@@ -77,7 +75,6 @@
 
 #include "common/rng.hpp"
 #include "common/simd.hpp"
-#include "common/thread_pool.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "service/sharding.hpp"
@@ -130,11 +127,11 @@ void BM_MatMulScalar(benchmark::State& state) {
   nn::Matrix a(n, n), b(n, n);
   for (double& x : a.flat()) x = rng.normal();
   for (double& x : b.flat()) x = rng.normal();
-  common::simd::force_scalar(true);
+  common::simd::force_backend(common::simd::Backend::kScalar);
   for (auto _ : state) {
     benchmark::DoNotOptimize(nn::matmul(a, b));
   }
-  common::simd::force_scalar(false);
+  common::simd::force_backend(common::simd::Backend::kAvx512);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n * n * n));
 }
@@ -165,6 +162,19 @@ void BM_Td3TrainStep(benchmark::State& state) {
     for (double& v : s2) v = rng.uniform();
     replay.add({s, a, rng.uniform(-3.0, 1.0), s2, false});
   }
+  // Start from a master-like state, as a served session does: untimed
+  // steps until every Adam step counter reaches the t = 537 of a master
+  // after --train-iters 600 (the actor's advances once per policy delay).
+  // A fresh agent would time mostly t < 356, where 1 - 0.9^t is not yet
+  // 1.0 and Adam still divides by it.
+  const auto min_adam_t = [&agent] {
+    std::size_t t = std::numeric_limits<std::size_t>::max();
+    for (const auto& [name, opt] : agent.optimizers()) {
+      t = std::min(t, opt->step_count());
+    }
+    return t;
+  };
+  while (min_adam_t() < 537) (void)agent.train_step(replay, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(agent.train_step(replay, rng));
   }
@@ -574,44 +584,11 @@ void time_kernel_backends(obs::MetricsRegistry& registry,
     if (col.backend == simd::Backend::kScalar) scalar_ns = ns;
     top_ns = ns;  // columns ascend the ladder; the last is the dispatch tier
   }
-  simd::force_scalar(false);
+  simd::force_backend(simd::Backend::kAvx512);
   registry.gauge(prefix + ".reps").set(kKernelReps);
   if (scalar_ns > 0.0 && top_ns > 0.0) {
     registry.gauge(prefix + ".speedup").set(scalar_ns / top_ns);
   }
-}
-
-/// Register-blocked vs L2-tiled packed columns for one GEMM shape, per
-/// vector tier: kernel.{name}.{shape}.{tier}_blocked_ns / _packed_ns /
-/// _packed_speedup. Scalar has no packed path and is skipped.
-template <typename Fn>
-void time_gemm_paths(obs::MetricsRegistry& registry, const std::string& name,
-                     const std::string& shape, double flops, Fn&& fn) {
-  namespace simd = common::simd;
-  const std::string prefix = "kernel." + name + "." + shape;
-  for (const auto& col : selectable_columns()) {
-    if (col.backend == simd::Backend::kScalar) continue;
-    simd::force_backend(col.backend);
-    simd::force_gemm_path(simd::GemmPath::kRegisterBlocked);
-    const double blocked_ns =
-        best_ns_per_call(fn, /*min_batch_seconds=*/0.01, kKernelReps);
-    simd::force_gemm_path(simd::GemmPath::kPacked);
-    const double packed_ns =
-        best_ns_per_call(fn, /*min_batch_seconds=*/0.01, kKernelReps);
-    simd::force_gemm_path(simd::GemmPath::kAuto);
-    registry.gauge(prefix + "." + col.label + "_blocked_ns").set(blocked_ns);
-    registry.gauge(prefix + "." + col.label + "_packed_ns").set(packed_ns);
-    if (flops > 0.0) {
-      registry.gauge(prefix + "." + col.label + "_blocked_gflops")
-          .set(flops / blocked_ns);
-      registry.gauge(prefix + "." + col.label + "_packed_gflops")
-          .set(flops / packed_ns);
-    }
-    registry.gauge(prefix + "." + col.label + "_packed_speedup")
-        .set(blocked_ns / packed_ns);
-  }
-  simd::force_scalar(false);
-  registry.gauge(prefix + ".path_reps").set(kKernelReps);
 }
 
 int run_kernel_bench_json(const std::string& path) {
@@ -635,20 +612,6 @@ int run_kernel_bench_json(const std::string& path) {
     });
     time_kernel_backends(registry, "matmul_nt", shape, flops, [&] {
       benchmark::DoNotOptimize(nn::matmul_nt(a, b));
-    });
-  }
-
-  // At and above the packed threshold: register-blocked vs packed per
-  // vector tier — the acceptance columns for the L2-tiled path.
-  for (const std::size_t n : {std::size_t{256}, std::size_t{320}}) {
-    nn::Matrix a(n, n), b(n, n);
-    for (double& x : a.flat()) x = rng.normal();
-    for (double& x : b.flat()) x = rng.normal();
-    const double flops = 2.0 * static_cast<double>(n * n * n);
-    const std::string shape = std::to_string(n) + "x" + std::to_string(n) +
-                              "x" + std::to_string(n);
-    time_gemm_paths(registry, "matmul", shape, flops, [&] {
-      benchmark::DoNotOptimize(nn::matmul(a, b));
     });
   }
 
@@ -691,9 +654,8 @@ int run_kernel_bench_json(const std::string& path) {
                          });
   }
 
-  // GP refit wall time at OtterTune sizes, serial vs pools of {1,4,16}
-  // threads (threads0 = no pool). The parallel fit is bit-identical to
-  // serial, so these columns measure pure scheduling, not model drift.
+  // GP refit wall time at OtterTune sizes: what one OtterTune refit
+  // costs per length-scale hypothesis.
   for (const std::size_t n :
        {std::size_t{512}, std::size_t{1024}, std::size_t{2048}}) {
     const std::size_t dim = 12;
@@ -702,34 +664,27 @@ int run_kernel_bench_json(const std::string& path) {
     for (double& v : x.flat()) v = rng.uniform();
     for (double& v : y) v = rng.uniform(30.0, 300.0);
     const std::string prefix = "gp.fit.n" + std::to_string(n);
-    for (const std::size_t threads :
-         {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
-      common::ThreadPool pool(threads);
-      const double ns = best_ns_per_call(
-          [&] {
-            gp::GpRegressor model(
-                std::make_unique<gp::Matern52Kernel>(1.8, 1.0), 0.05);
-            model.set_thread_pool(&pool);
-            model.fit(x, y);
-            benchmark::DoNotOptimize(model);
-          },
-          /*min_batch_seconds=*/0.0, kGpFitReps);
-      registry.gauge(prefix + ".threads" + std::to_string(threads) + "_ns")
-          .set(ns);
-    }
+    const double ns = best_ns_per_call(
+        [&] {
+          gp::GpRegressor model(
+              std::make_unique<gp::Matern52Kernel>(1.8, 1.0), 0.05);
+          model.fit(x, y);
+          benchmark::DoNotOptimize(model);
+        },
+        /*min_batch_seconds=*/0.0, kGpFitReps);
+    registry.gauge(prefix + "_ns").set(ns);
     registry.gauge(prefix + ".reps").set(kGpFitReps);
   }
 
   // Export through the observability layer instead of a private
   // serializer: line 1 is the same build-info object `deepcat info --json`
-  // and the METR frame carry, the rest is the obs metrics exporter — one
+  // and the TELE frames carry, the rest is the obs metrics exporter — one
   // gauge per kernel statistic. Anything that learns to read --metrics-out
   // files reads this baseline for free.
   const auto dispatches = common::simd::dispatch_counts();
   registry.counter("simd.scalar_dispatches").add(dispatches.scalar_calls);
   registry.counter("simd.avx2_dispatches").add(dispatches.avx2_calls);
   registry.counter("simd.avx512_dispatches").add(dispatches.avx512_calls);
-  registry.counter("simd.packed_dispatches").add(dispatches.packed_calls);
 
   std::ostringstream json;
   json << "{\"bench\":\"deepcat kernel microbenchmarks\",\"build\":";

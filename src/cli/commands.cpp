@@ -486,10 +486,9 @@ std::string scope_level_list() {
 
 int cmd_info(const ParsedArgs& args, std::ostream& os) {
   // Reports what THIS process would actually use: the backend comes from
-  // the live dispatch decision (CPU features + the DEEPCAT_SIMD /
-  // DEEPCAT_FORCE_SCALAR caps), not from compile flags alone. The ladder
-  // lists every tier the CPU + compile flags expose, whether or not an
-  // env cap keeps it inactive.
+  // the live dispatch decision (CPU features + the DEEPCAT_SIMD cap), not
+  // from compile flags alone. The ladder lists every tier the CPU + compile
+  // flags expose, whether or not an env cap keeps it inactive.
   namespace simd = common::simd;
   const obs::BuildInfo info = obs::current_build_info(
       static_cast<std::size_t>(args.number_or("threads", 0)));
@@ -500,8 +499,7 @@ int cmd_info(const ParsedArgs& args, std::ostream& os) {
     obs::write_build_info_json_fields(os, info);
     os << ",\"isa_ladder\":\"" << simd::isa_ladder() << "\",\"detected\":\""
        << simd::backend_label(simd::detected_backend())
-       << "\",\"packed_gemm_min_dim\":" << simd::packed_gemm_min_dim()
-       << ",\"embedding_dim\":" << retrieval::kEmbeddingDim
+       << "\",\"embedding_dim\":" << retrieval::kEmbeddingDim
        << ",\"warm_default_k\":" << retrieval::kDefaultNeighbors
        << ",\"index_section_version\":" << service::kIndexSectionVersion
        << ",\"workload_families\":\"" << workload_family_list()
@@ -517,7 +515,6 @@ int cmd_info(const ParsedArgs& args, std::ostream& os) {
      << "detected tier:    " << simd::backend_label(simd::detected_backend())
      << '\n'
      << "simd compiled:    " << (info.simd_compiled ? "yes" : "no") << '\n'
-     << "packed gemm from: " << simd::packed_gemm_min_dim() << "^3\n"
      << "thread-pool size: " << info.threads << '\n'
      << "warm embedding:   " << retrieval::kEmbeddingDim << " dims\n"
      << "warm default k:   " << retrieval::kDefaultNeighbors << '\n'
@@ -827,7 +824,7 @@ int cmd_stats(const ParsedArgs& args, std::ostream& os) {
     }
   }
   // STAT asks for one mid-stream TELE; END lets the server finish its
-  // tail (final TELE + compat METR + END) and close.
+  // tail (final TELE + END) and close.
   client.send_frame(service::FrameType::kStat, "");
   client.send_frame(service::FrameType::kEnd, "");
 

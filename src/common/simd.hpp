@@ -10,10 +10,8 @@
 //   1. compile-time: non-x86 targets, or -DDEEPCAT_DISABLE_SIMD=ON, build
 //      only the scalar kernels;
 //   2. process start: DEEPCAT_SIMD=scalar|avx2|avx512 caps the ladder
-//      (values above what the CPU supports clamp down); the legacy
-//      DEEPCAT_FORCE_SCALAR variable (any non-empty value except "0")
-//      still pins the scalar path;
-//   3. runtime: force_backend()/force_scalar() lower the cap
+//      (values above what the CPU supports clamp down);
+//   3. runtime: force_backend() lowers the cap
 //      programmatically (used by the property tests and bench_micro to
 //      compare tiers in one process) — they can never raise it above the
 //      startup cap;
@@ -26,7 +24,7 @@
 // depend on the optimization level. The property tests bound the
 // divergence at 1e-12 for the shapes the library uses. Broadcast-style
 // GEMM kernels (gemm_nn/gemm_tn) keep each output element's FMA chain in
-// ascending-k order on every tier and on the packed path, so those agree
+// ascending-k order on every tier, so those agree
 // bit-for-bit across vector tiers; dot-style reductions (dot, gemm_nt)
 // use per-tier accumulator trees and only meet the 1e-12 contract.
 #pragma once
@@ -45,7 +43,7 @@ enum class Backend : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 [[nodiscard]] Backend active_backend() noexcept;
 
 /// Highest tier the CPU + compile flags support, ignoring the DEEPCAT_SIMD
-/// / DEEPCAT_FORCE_SCALAR caps and force_backend(). What `deepcat info`
+/// cap and force_backend(). What `deepcat info`
 /// reports as "detected".
 [[nodiscard]] Backend detected_backend() noexcept;
 
@@ -73,10 +71,6 @@ enum class Backend : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// kernels in flight.
 void force_backend(Backend cap) noexcept;
 
-/// Legacy alias: force_backend(kScalar) while `on`, else removes the
-/// programmatic cap.
-void force_scalar(bool on) noexcept;
-
 /// True when any vector tier is the active backend.
 [[nodiscard]] bool vectorized_active() noexcept;
 
@@ -85,43 +79,19 @@ void force_scalar(bool on) noexcept;
 /// runtime (CPU support, env caps, force_backend()).
 [[nodiscard]] bool vector_compiled() noexcept;
 
-// ---- Packed-GEMM path selection ------------------------------------------
-// For operands at or above packed_gemm_min_dim() in every dimension, the
-// GEMM dispatcher leaves the register-blocked micro-kernels for an
-// L2-tiled packed path: A and B panels are copied once into contiguous
-// micro-panel layouts sized to the L2 cache, so the inner kernels stream
-// packed memory instead of striding the source matrices. Register blocking
-// alone stops paying around there — exactly the OtterTune GP refit sizes.
-
-/// kAuto picks by size threshold; the other values pin one path for
-/// benchmarking and property tests (vector tiers only — the scalar
-/// backend always runs the reference loops).
-enum class GemmPath : int { kAuto = 0, kRegisterBlocked = 1, kPacked = 2 };
-
-/// Pins the GEMM path while != kAuto. Same thread-safety caveat as
-/// force_backend().
-void force_gemm_path(GemmPath path) noexcept;
-
-[[nodiscard]] GemmPath forced_gemm_path() noexcept;
-
-/// The m/n/k floor at which kAuto switches to the packed path (every
-/// dimension must reach it).
-[[nodiscard]] std::size_t packed_gemm_min_dim() noexcept;
-
 // ---- Backend-dispatch accounting ----------------------------------------
 // Counts how many *chunky* kernel calls resolved to each tier — the GEMM
 // family and the fused Adam steps, one increment per call. The tiny
 // level-1 primitives (dot/axpy/sum) are deliberately uncounted: dot runs
 // per matrix row inside the GP Cholesky, so even a relaxed fetch_add
-// there would be a measurable hot-path tax. The obs layer folds these
-// totals into metrics snapshots and `deepcat info`.
+// there would be a measurable hot-path tax. Tests, bench_micro and the
+// perfbench probe read these totals.
 
 struct DispatchCounts {
   unsigned long long scalar_calls = 0;
   unsigned long long avx2_calls = 0;
   unsigned long long avx512_calls = 0;
-  /// GEMM calls that took the L2-tiled packed path (each is also counted
-  /// in its tier's column above).
+  /// Always 0 (there is no packed GEMM path); perfbench/probe.cpp reads it.
   unsigned long long packed_calls = 0;
 };
 
@@ -248,8 +218,7 @@ void col_sums_add(std::size_t rows, std::size_t cols, const double* a,
 // start state: bias-broadcast rows for the fused linear-layer forward, or
 // Store::kSet (gemm_tn, gemm_nt) for a plain product without a separate
 // zero-fill. Leading dimensions are element strides. Every variant
-// dispatches across the ISA ladder and, at packed sizes (see
-// packed_gemm_min_dim()), through the L2-tiled packed path.
+// dispatches across the ISA ladder.
 //
 // The 1-wide shapes of a critic's 128->1 head take exact fast paths on the
 // vector tiers, each keeping every output's arithmetic: n == 1 (gemm_nn,

@@ -76,24 +76,6 @@ class ThreadPool {
     if (first_error) std::rethrow_exception(first_error);
   }
 
-  /// Runs fn(i) for i in [begin, end) with the same contract as
-  /// parallel_for. Ranges shorter than `grain` run inline on the calling
-  /// thread: the per-column Cholesky trailing updates shrink as the
-  /// factorization advances, and enqueueing a handful of rows costs more
-  /// than computing them. Chunks are contiguous and ascending, so any
-  /// fn whose per-index result depends only on i is pool-size invariant.
-  template <typename Fn>
-  void parallel_for_range(std::size_t begin, std::size_t end,
-                          std::size_t grain, Fn&& fn) {
-    if (end <= begin) return;
-    const std::size_t n = end - begin;
-    if (n < grain || size() <= 1) {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-      return;
-    }
-    parallel_for(n, [&fn, begin](std::size_t i) { fn(begin + i); });
-  }
-
  private:
   void worker_loop();
 

@@ -10,10 +10,6 @@
 #include "nn/matrix.hpp"
 #include "obs/sink.hpp"
 
-namespace deepcat::common {
-class ThreadPool;
-}  // namespace deepcat::common
-
 namespace deepcat::gp {
 
 struct GpPrediction {
@@ -54,18 +50,9 @@ class GpRegressor {
   /// gauge registers as nondeterministic — see DESIGN.md §10).
   void set_obs(const obs::Sink& sink);
 
-  /// Runs fit() — kernel-matrix build and Cholesky trailing updates — on
-  /// `pool` (nullptr restores the serial path). Results are bit-identical
-  /// to the serial fit at every pool size: each parallel work item is one
-  /// matrix row whose value is computed by the exact serial formula, so
-  /// only the wall-clock order changes, never a summation order. The pool
-  /// must outlive this regressor or be detached before destruction.
-  void set_thread_pool(common::ThreadPool* pool) noexcept;
-
  private:
   std::unique_ptr<Kernel> kernel_;
   double noise_var_;
-  common::ThreadPool* pool_ = nullptr;
   nn::Matrix train_x_;
   nn::Matrix chol_;               ///< lower-triangular L with K = L L^T
   std::vector<double> alpha_;     ///< L^-T L^-1 y~
@@ -78,15 +65,7 @@ class GpRegressor {
 /// In-place Cholesky of a symmetric positive-definite matrix; returns the
 /// lower factor. Adds progressive jitter if the matrix is near-singular;
 /// throws std::runtime_error if it stays non-PD.
-///
-/// With a pool, the per-column trailing update (rows i > j) fans out over
-/// the workers. Every row keeps the serial formula
-///   L(i,j) = (A(i,j) - dot(L_i, L_j, j)) / L(j,j)
-/// — a reduction over already-finished columns only, in the same order —
-/// so the factor is bit-identical to the serial result at every thread
-/// count. nullptr (the default) runs serially.
-[[nodiscard]] nn::Matrix cholesky(nn::Matrix a,
-                                  common::ThreadPool* pool = nullptr);
+[[nodiscard]] nn::Matrix cholesky(nn::Matrix a);
 
 /// Solves L z = b (forward) then L^T x = z (backward).
 [[nodiscard]] std::vector<double> cholesky_solve(const nn::Matrix& l,

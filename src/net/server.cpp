@@ -495,13 +495,6 @@ void FrontEnd::maybe_emit_tail(Connection& conn) {
   }
   maybe_emit_tser(conn);
   emit_conn_tele(conn);
-  // The deprecated METR frame still precedes END so wire-v1 readers find
-  // their flat keys.
-  std::ostringstream metrics;
-  service::write_metrics_jsonl(metrics, conn.metrics.snapshot(),
-                               service_.build_info());
-  conn.queue_frame(service::FrameType::kMetrics,
-                   strip_newline(std::move(metrics).str()));
   conn.queue_frame(service::FrameType::kEnd, "");
   conn.state = ConnState::kClosing;
   pump_writes(conn);

@@ -35,8 +35,8 @@
 //     payload, warm precheck, in-flight cap) go out immediately.
 //   - Graceful drain (SIGTERM/SIGINT or request_shutdown()): stop
 //     accepting, let in-flight sessions finish and their replies go out,
-//     run one final flush_all(), then emit each connection's TELE(+METR)
-//     + END tail and close once its write buffer empties. --drain-timeout
+//     run one final flush_all(), then emit each connection's TELE + END
+//     tail and close once its write buffer empties. --drain-timeout
 //     bounds the wait, after which stragglers are force-closed (counted,
 //     never silent).
 //

@@ -1,5 +1,5 @@
 // Build/runtime identity: version, dispatched numeric backend, thread-pool
-// size. One struct and one JSON writer shared by `deepcat info`, the METR
+// size. One struct and one JSON writer shared by `deepcat info`, the TELE
 // wire payload, trace metadata and the bench_micro JSON — so the labels
 // can never drift apart between surfaces.
 #pragma once
@@ -31,7 +31,7 @@ void write_build_info_json(std::ostream& os, const BuildInfo& info);
 
 /// The same four fields without the surrounding braces, for callers that
 /// extend the object with more keys (`deepcat info --json` adds the ISA
-/// ladder and the packed-GEMM threshold) while keeping the shared labels.
+/// ladder and the detected tier) while keeping the shared labels.
 void write_build_info_json_fields(std::ostream& os, const BuildInfo& info);
 
 }  // namespace deepcat::obs

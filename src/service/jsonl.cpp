@@ -294,8 +294,9 @@ void write_report_jsonl(std::ostream& os, const SessionReport& r,
 
 namespace {
 
-/// The one serializer for the aggregate metrics fields — METR and the
-/// TELE aggregate line both call it, so the flat keys cannot drift apart.
+/// The one serializer for the aggregate metrics fields — the batch
+/// aggregate line and the TELE aggregate line both call it, so the flat
+/// keys cannot drift apart.
 /// Writes the keys only; the caller owns the braces (and any keys before
 /// or after).
 void write_metrics_body(std::ostream& os, const ServiceMetrics& m) {
@@ -340,14 +341,6 @@ void write_build_labels(std::ostream& os, const obs::BuildInfo& build) {
 void write_metrics_jsonl(std::ostream& os, const ServiceMetrics& m) {
   os << '{';
   write_metrics_body(os, m);
-  os << "}\n";
-}
-
-void write_metrics_jsonl(std::ostream& os, const ServiceMetrics& m,
-                         const obs::BuildInfo& build) {
-  os << '{';
-  write_metrics_body(os, m);
-  write_build_labels(os, build);
   os << "}\n";
 }
 

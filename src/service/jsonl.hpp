@@ -60,20 +60,11 @@ void write_report_jsonl(std::ostream& os, const SessionReport& r,
 /// The aggregate metrics line emitted after a batch ("aggregate":true).
 void write_metrics_jsonl(std::ostream& os, const ServiceMetrics& m);
 
-/// Streaming METR variant: the same aggregate fields plus build-info
-/// labels (version, dispatched numeric backend, thread count). Additive
-/// keys only — PR 3 clients parse with a tolerant flat-JSON reader, so
-/// old readers still accept the extended frame. The batch driver keeps
-/// the unlabelled writer so its output diffs clean across --threads and
-/// numeric backends. Deprecated in wire v2 in favor of the TELE payload
-/// (write_telemetry_payload); still emitted for v1 readers.
-void write_metrics_jsonl(std::ostream& os, const ServiceMetrics& m,
-                         const obs::BuildInfo& build);
-
 /// The TELE frame payload: line 1 is the aggregate object — a "tele"
-/// schema version tag, then the exact METR field serializer (the two
-/// writers share one implementation so the flat keys can never drift),
-/// then the build labels — followed by the registry's name-sorted
+/// schema version tag, then the write_metrics_jsonl field serializer (the
+/// two writers share one implementation so the flat keys can never
+/// drift), then the build labels (version, dispatched numeric backend,
+/// thread count) — followed by the registry's name-sorted
 /// instrument set, one JSON line per instrument (write_metric_json
 /// format, histogram lines carry p50/p95/p99). registry may be null
 /// (aggregate line only).

@@ -64,13 +64,13 @@ struct ServiceMetrics {
   /// Per-bucket counts of per-session recommendation cost over
   /// rec_cost_bucket_edges() (+1 overflow bucket). Carried for exact
   /// cross-shard percentile aggregation only — never serialized into
-  /// METR/TELE, so transcripts are unchanged. Empty when the service
+  /// TELE, so transcripts are unchanged. Empty when the service
   /// predates the field (aggregators treat empty as all-zero).
   std::vector<std::uint64_t> rec_buckets;
 };
 
 /// The one session-metrics accumulator: the service totals, every
-/// connection's TELE/METR aggregate and the batch METR line are all built
+/// connection's TELE aggregate and the batch aggregate line are all built
 /// by it. The float sums depend on the order sessions are recorded in, so
 /// callers whose output bytes must be deterministic feed it in a fixed
 /// order (admission order per connection, request order per batch).

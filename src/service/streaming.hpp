@@ -66,7 +66,7 @@ struct StreamingOptions {
   /// Registry directory for lazy model loading; empty disables routing
   /// beyond explicitly loaded/trained models.
   std::string registry_dir;
-  /// Build-info fields stamped into the METR frame. Defaults (nullopt) to
+  /// Build-info fields stamped into the TELE frames. Defaults (nullopt) to
   /// the live current_build_info(); golden tests pin a fixed value so the
   /// transcripts stay byte-identical across numeric backends.
   std::optional<obs::BuildInfo> build_info;
@@ -177,7 +177,7 @@ class StreamingService {
 
   [[nodiscard]] ServiceMetrics metrics() const;
 
-  /// Build info for the METR/TELE frames: the configured override, else
+  /// Build info for the TELE frames: the configured override, else
   /// the live dispatch/thread state.
   [[nodiscard]] obs::BuildInfo build_info() const;
 

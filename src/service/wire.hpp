@@ -18,19 +18,17 @@
 // would silently turn one imperative into another (one bit separates
 // "REQ " from "REP "), so the header itself must be integrity-checked.
 //
-// Frame types in version 3 (payloads are the service's JSONL objects,
+// Frame types in version 4 (payloads are the service's JSONL objects,
 // without the trailing newline):
 //
 //   "REQ "  client -> server: one tuning request
 //   "REP "  server -> client: one session report (+ model, model_epoch)
-//   "METR"  server -> client: aggregate metrics flat keys, once before
-//           "END " — deprecated in favor of "TELE", still emitted for
-//           v1 readers
 //   "TELE"  server -> client: versioned telemetry snapshot — one
-//           aggregate JSON line ("tele" schema tag + the METR fields +
-//           build labels) followed by the full name-sorted instrument
-//           set, one JSON line per instrument. Emitted at every "FLSH"
-//           boundary, in answer to "STAT", and before "END "
+//           aggregate JSON line ("tele" schema tag + the aggregate
+//           metrics fields + build labels) followed by the full
+//           name-sorted instrument set, one JSON line per instrument.
+//           Emitted at every "FLSH" boundary, in answer to "STAT", and
+//           before "END "
 //   "STAT"  client -> server: poll an on-demand "TELE" right now, without
 //           a flush barrier; payload empty or a flat JSON object
 //   "TSER"  server -> client (v3): convergence time-series snapshot —
@@ -43,6 +41,9 @@
 //   "FLSH"  client -> server: barrier — merge all completed experience
 //           into the masters and take bounded fine-tune steps now
 //   "END "  either direction: clean end of stream
+//   "METR"  server -> client, v1–v3 only: aggregate metrics flat keys,
+//           once before "END ". v4 servers no longer emit it; readers
+//           still accept it so older streams parse
 //
 // Unlike the checkpoint reader (which skips unknown *optional* sections),
 // the wire reader is strict: an unknown frame type is a typed error. A
@@ -70,8 +71,9 @@ namespace deepcat::service {
 /// Current writer protocol version. Readers accept any version <= this.
 /// v2 added the "TELE" and "STAT" frames; v3 added "TSER" and the
 /// optional REQ "trace" context (both additive — v1/v2 streams parse
-/// unchanged).
-inline constexpr std::uint32_t kWireVersion = 3;
+/// unchanged); v4 stopped emitting "METR" (the final "TELE" carries the
+/// same fields).
+inline constexpr std::uint32_t kWireVersion = 4;
 
 /// Hard cap on a single frame payload. The JSONL payloads are a few
 /// hundred bytes; anything near this limit is a corrupt or hostile length
@@ -87,7 +89,7 @@ class WireError : public std::runtime_error {
 enum class FrameType : std::uint32_t {
   kRequest = 0x20514552u,    // "REQ "
   kReply = 0x20504552u,      // "REP "
-  kMetrics = 0x5254454Du,    // "METR"
+  kMetrics = 0x5254454Du,    // "METR" (read-only since v4)
   kTelemetry = 0x454C4554u,  // "TELE"
   kStat = 0x54415453u,       // "STAT"
   kTimeSeries = 0x52455354u, // "TSER"

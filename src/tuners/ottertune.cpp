@@ -75,7 +75,6 @@ std::vector<double> OtterTuneTuner::recommend(
         std::make_unique<gp::Matern52Kernel>(length_scale, 1.0),
         options_.noise_var);
     candidate_model.set_obs(options_.obs);
-    candidate_model.set_thread_pool(options_.fit_pool);
     candidate_model.fit(x, y);
     const double lml = candidate_model.log_marginal_likelihood();
     if (lml > best_lml) {

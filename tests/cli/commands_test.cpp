@@ -29,7 +29,7 @@ TEST(CliObsCommandsTest, InfoReportsVersionBackendAndThreads) {
   EXPECT_NE(out.find("thread-pool size:"), std::string::npos);
   EXPECT_NE(out.find("isa ladder:"), std::string::npos);
   EXPECT_NE(out.find(common::simd::isa_ladder()), std::string::npos);
-  EXPECT_NE(out.find("packed gemm from:"), std::string::npos);
+  EXPECT_EQ(out.find("packed gemm"), std::string::npos);
 }
 
 TEST(CliObsCommandsTest, InfoJsonIsAFlatParseableObject) {
@@ -44,13 +44,11 @@ TEST(CliObsCommandsTest, InfoJsonIsAFlatParseableObject) {
   EXPECT_EQ(fields.at("threads"), "3");
   EXPECT_TRUE(fields.at("simd_compiled") == "true" ||
               fields.at("simd_compiled") == "false");
-  // Ladder, detected tier, and the packed-GEMM threshold ride along as
-  // flat fields (the ladder is a comma-joined string, not an array).
+  // Ladder and detected tier ride along as flat fields (the ladder is a
+  // comma-joined string, not an array).
   EXPECT_EQ(fields.at("isa_ladder"), common::simd::isa_ladder());
   EXPECT_EQ(fields.at("detected"),
             common::simd::backend_label(common::simd::detected_backend()));
-  EXPECT_EQ(fields.at("packed_gemm_min_dim"),
-            std::to_string(common::simd::packed_gemm_min_dim()));
 }
 
 TEST(CliCommandsTest, UnknownCommandPrintsUsageAndFails) {
@@ -182,13 +180,13 @@ TEST(CliCommandsTest, ServeStreamEndToEndOverWireFiles) {
     }
   }
   EXPECT_EQ(reps, 2u);
-  EXPECT_EQ(frames[frames.size() - 2].type, service::FrameType::kMetrics);
+  EXPECT_EQ(frames[frames.size() - 2].type, service::FrameType::kTelemetry);
   EXPECT_EQ(frames.back().type, service::FrameType::kEnd);
 }
 
 TEST(CliCommandsTest, ServeStreamTranscriptIndependentOfThreadsAndShards) {
   // The stdin/--in path is one front-end connection: REPs leave in
-  // admission order and the TELE/METR aggregates are recorded in that
+  // admission order and the TELE aggregates are recorded in that
   // order, so the wire output is byte-identical across pool and shard
   // layouts.
   const std::string dir = tests::unique_temp_path("deepcat_cli_layouts");
@@ -320,7 +318,7 @@ TEST(CliObsCommandsTest, ServeStreamWritesChromeTraceAndMetricsFiles) {
   std::ostringstream bytes(std::ios::binary);
   bytes << out.rdbuf();
   const auto frames = service::decode_frames(bytes.str());
-  EXPECT_EQ(frames[frames.size() - 2].type, service::FrameType::kMetrics);
+  EXPECT_EQ(frames[frames.size() - 2].type, service::FrameType::kTelemetry);
   EXPECT_EQ(frames.back().type, service::FrameType::kEnd);
 }
 
@@ -389,9 +387,8 @@ TEST(CliObsCommandsTest, ServeStreamIncrementalTraceAndTeleFrames) {
     }
   }
   EXPECT_GE(tele, 5u);
-  ASSERT_GE(frames.size(), 3u);
-  EXPECT_EQ(frames[frames.size() - 3].type, service::FrameType::kTelemetry);
-  EXPECT_EQ(frames[frames.size() - 2].type, service::FrameType::kMetrics);
+  ASSERT_GE(frames.size(), 2u);
+  EXPECT_EQ(frames[frames.size() - 2].type, service::FrameType::kTelemetry);
   EXPECT_EQ(frames.back().type, service::FrameType::kEnd);
 }
 

@@ -61,10 +61,10 @@ const std::size_t kDims[] = {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17,
                              31, 32, 33, 41, 63, 64, 65, 100};
 const std::size_t kRowCounts[] = {1, 2, 3, 7, 16, 33};
 
-class ForceScalarGuard {
+class BackendGuard {
  public:
-  ForceScalarGuard() { force_scalar(false); }
-  ~ForceScalarGuard() { force_scalar(false); }
+  BackendGuard() { force_backend(Backend::kAvx512); }
+  ~BackendGuard() { force_backend(Backend::kAvx512); }
 };
 
 std::vector<Backend> selectable_backends() {
@@ -76,7 +76,7 @@ std::vector<Backend> selectable_backends() {
 }
 
 TEST(SimdDistanceTest, SquaredDistancesMatchReferenceAcrossTiers) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(31);
   for (std::size_t dim : kDims) {
     for (std::size_t n_rows : kRowCounts) {
@@ -93,13 +93,13 @@ TEST(SimdDistanceTest, SquaredDistancesMatchReferenceAcrossTiers) {
               << backend_label(be) << " dim=" << dim << " r=" << r;
         }
       }
-      force_scalar(false);
+      force_backend(Backend::kAvx512);
     }
   }
 }
 
 TEST(SimdDistanceTest, CosineDistancesMatchReferenceAcrossTiers) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(32);
   for (std::size_t dim : kDims) {
     for (std::size_t n_rows : kRowCounts) {
@@ -118,13 +118,13 @@ TEST(SimdDistanceTest, CosineDistancesMatchReferenceAcrossTiers) {
           EXPECT_LE(out[r], 2.0 + 1e-12) << backend_label(be);
         }
       }
-      force_scalar(false);
+      force_backend(Backend::kAvx512);
     }
   }
 }
 
 TEST(SimdDistanceTest, CosineSelfDistanceIsZeroAndNegationIsTwo) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(33);
   const std::size_t dim = 41;
   const auto query = random_vec(dim, rng);
@@ -140,14 +140,14 @@ TEST(SimdDistanceTest, CosineSelfDistanceIsZeroAndNegationIsTwo) {
     EXPECT_NEAR(out[0], 0.0, 1e-12) << backend_label(be);
     EXPECT_NEAR(out[1], 2.0, 1e-12) << backend_label(be);
   }
-  force_scalar(false);
+  force_backend(Backend::kAvx512);
 }
 
 TEST(SimdDistanceTest, ZeroNormVectorsYieldNeutralCosineOnEveryTier) {
   // A zero query or zero row carries no direction: the contract pins the
   // result at exactly 1.0 (not NaN) on every backend, so retrieval never
   // ranks on garbage.
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(34);
   const std::size_t dim = 17;
   const std::vector<double> zero_query(dim, 0.0);
@@ -164,11 +164,11 @@ TEST(SimdDistanceTest, ZeroNormVectorsYieldNeutralCosineOnEveryTier) {
     EXPECT_EQ(out[0], 1.0) << backend_label(be);  // zero row
     EXPECT_NE(out[1], 1.0) << backend_label(be);  // live row
   }
-  force_scalar(false);
+  force_backend(Backend::kAvx512);
 }
 
 TEST(SimdDistanceTest, ZeroRowsAndZeroDimAreNoOps) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(35);
   const auto query = random_vec(8, rng);
   const auto rows = random_vec(8, rng);
@@ -187,14 +187,14 @@ TEST(SimdDistanceTest, ZeroRowsAndZeroDimAreNoOps) {
     cosine_distances(query.data(), rows.data(), 3, 0, out.data());
     for (double v : out) EXPECT_EQ(v, 1.0) << backend_label(be);
   }
-  force_scalar(false);
+  force_backend(Backend::kAvx512);
 }
 
 TEST(SimdDistanceTest, BatchedSweepCountsOneDispatchPerCall) {
   // The whole matrix sweep is ONE dispatched call per kernel — the
   // SimSIMD-style contract the retrieval index relies on for its
   // per-query cost model.
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(36);
   const std::size_t n_rows = 16, dim = 41;
   const auto query = random_vec(dim, rng);
@@ -216,12 +216,12 @@ TEST(SimdDistanceTest, BatchedSweepCountsOneDispatchPerCall) {
     EXPECT_EQ(counts.avx512_calls, be == Backend::kAvx512 ? 2ull : 0ull)
         << backend_label(be);
   }
-  force_scalar(false);
+  force_backend(Backend::kAvx512);
   reset_dispatch_counts();
 }
 
 TEST(SimdDistanceTest, ForceBackendAboveCapClampsForDistanceKernels) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(37);
   const std::size_t dim = 9;
   const auto query = random_vec(dim, rng);
@@ -236,13 +236,13 @@ TEST(SimdDistanceTest, ForceBackendAboveCapClampsForDistanceKernels) {
   for (std::size_t r = 0; r < 4; ++r) {
     EXPECT_NEAR(out[r], expected[r], 1e-12 * std::max(1.0, expected[r]));
   }
-  force_scalar(false);
+  force_backend(Backend::kAvx512);
 }
 
 TEST(SimdDistanceTest, SquaredDistancesAgreeWithSingleVectorPrimitive) {
   // The batched kernel and the level-1 squared_distance primitive share
   // the 1e-12 contract; row r of the sweep equals the pairwise call.
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(38);
   const std::size_t n_rows = 5, dim = 33;
   const auto query = random_vec(dim, rng);

@@ -1,7 +1,7 @@
 // Property tests for the SIMD dispatch layer: every vectorized primitive
 // must match a naive scalar reference within 1e-12 across odd lengths
-// (0, 1, non-multiples of the vector width), and the force_scalar toggle
-// must actually switch the backend.
+// (0, 1, non-multiples of the vector width), and force_backend() must
+// actually switch the backend.
 #include "common/simd.hpp"
 
 #include <gtest/gtest.h>
@@ -38,10 +38,10 @@ double ref_sqdist(const double* a, const double* b, std::size_t n) {
 const std::size_t kLengths[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17,
                                 31, 32, 33, 63, 64, 65, 100, 1023};
 
-class ForceScalarGuard {
+class BackendGuard {
  public:
-  ForceScalarGuard() { force_scalar(false); }
-  ~ForceScalarGuard() { force_scalar(false); }
+  BackendGuard() { force_backend(Backend::kAvx512); }
+  ~BackendGuard() { force_backend(Backend::kAvx512); }
 };
 
 // Every tier selectable in this process, lowest first — the loops below
@@ -55,20 +55,20 @@ std::vector<Backend> selectable_backends() {
 }
 
 TEST(SimdTest, BackendNameMatchesActiveState) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   EXPECT_STREQ(backend_name(), backend_label(active_backend()));
   if (vectorized_active()) {
     EXPECT_NE(active_backend(), Backend::kScalar);
   } else {
     EXPECT_STREQ(backend_name(), "scalar");
   }
-  force_scalar(true);
+  force_backend(Backend::kScalar);
   EXPECT_FALSE(vectorized_active());
   EXPECT_STREQ(backend_name(), "scalar");
 }
 
 TEST(SimdTest, LadderOrderAndLabelsAreStable) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   EXPECT_STREQ(backend_label(Backend::kScalar), "scalar");
   EXPECT_STREQ(backend_label(Backend::kAvx2), "avx2+fma");
   EXPECT_STREQ(backend_label(Backend::kAvx512), "avx512");
@@ -87,7 +87,7 @@ TEST(SimdTest, LadderOrderAndLabelsAreStable) {
 }
 
 TEST(SimdTest, ForceBackendClampsToSelectableTiers) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   for (Backend b : selectable_backends()) {
     force_backend(b);
     EXPECT_EQ(active_backend(), b) << backend_label(b);
@@ -97,12 +97,12 @@ TEST(SimdTest, ForceBackendClampsToSelectableTiers) {
   // activating an unsupported kernel set.
   force_backend(Backend::kAvx512);
   EXPECT_EQ(active_backend(), max_backend());
-  force_scalar(false);
+  force_backend(Backend::kAvx512);
   EXPECT_EQ(active_backend(), max_backend());
 }
 
 TEST(SimdTest, DispatchCountsFollowTheActiveTier) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(17);
   const std::size_t m = 8, n = 8, k = 8;
   const auto a = random_vec(m * k, rng);
@@ -122,15 +122,15 @@ TEST(SimdTest, DispatchCountsFollowTheActiveTier) {
     EXPECT_EQ(counts.scalar_calls, expected_scalar) << backend_label(be);
     EXPECT_EQ(counts.avx2_calls, expected_avx2) << backend_label(be);
     EXPECT_EQ(counts.avx512_calls, expected_avx512) << backend_label(be);
-    // Tiny shapes never take the packed path under kAuto.
+    // No GEMM path is packed, so this column stays 0.
     EXPECT_EQ(counts.packed_calls, 0ull) << backend_label(be);
   }
-  force_scalar(false);
+  force_backend(Backend::kAvx512);
   reset_dispatch_counts();
 }
 
 TEST(SimdTest, DotMatchesReferenceAcrossOddLengths) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(11);
   for (std::size_t n : kLengths) {
     const auto a = random_vec(n, rng);
@@ -138,14 +138,14 @@ TEST(SimdTest, DotMatchesReferenceAcrossOddLengths) {
     const double expected = ref_dot(a.data(), b.data(), n);
     const double tol = 1e-12 * std::max(1.0, std::abs(expected));
     EXPECT_NEAR(dot(a.data(), b.data(), n), expected, tol) << "n=" << n;
-    force_scalar(true);
+    force_backend(Backend::kScalar);
     EXPECT_DOUBLE_EQ(dot(a.data(), b.data(), n), expected) << "n=" << n;
-    force_scalar(false);
+    force_backend(Backend::kAvx512);
   }
 }
 
 TEST(SimdTest, SquaredDistanceMatchesReference) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(12);
   for (std::size_t n : kLengths) {
     const auto a = random_vec(n, rng);
@@ -158,7 +158,7 @@ TEST(SimdTest, SquaredDistanceMatchesReference) {
 }
 
 TEST(SimdTest, SumAndSumSquaresMatchReference) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(13);
   for (std::size_t n : kLengths) {
     const auto a = random_vec(n, rng);
@@ -175,7 +175,7 @@ TEST(SimdTest, SumAndSumSquaresMatchReference) {
 }
 
 TEST(SimdTest, AxpyMatchesReference) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(14);
   for (std::size_t n : kLengths) {
     const auto x = random_vec(n, rng);
@@ -196,7 +196,7 @@ TEST(SimdTest, AxpyMatchesReference) {
 TEST(SimdTest, AdamUpdateMatchesScalarBackendExactly) {
   // The vector path divides by the same bias-corrected denominators as the
   // scalar formula; per-element results must agree to ~1 ulp-scale noise.
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(15);
   for (std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{8},
                         std::size_t{33}, std::size_t{257}}) {
@@ -213,10 +213,10 @@ TEST(SimdTest, AdamUpdateMatchesScalarBackendExactly) {
     const double bc1 = 1.0 - std::pow(beta1, 7.0);
     const double bc2 = 1.0 - std::pow(beta2, 7.0);
 
-    force_scalar(true);
+    force_backend(Backend::kScalar);
     adam_update(value_s.data(), grad.data(), m_s.data(), v_s.data(), n, 1.0,
                 beta1, beta2, bc1, bc2, lr, eps);
-    force_scalar(false);
+    force_backend(Backend::kAvx512);
     adam_update(value_v.data(), grad.data(), m_v.data(), v_v.data(), n, 1.0,
                 beta1, beta2, bc1, bc2, lr, eps);
 
@@ -233,7 +233,7 @@ TEST(SimdTest, AdamUpdateMatchesScalarBackendExactly) {
 TEST(SimdTest, AllSelectableBackendsAgreeOnPrimitives) {
   // Every tier the process can select must meet the 1e-12 contract against
   // the plain-order references for the whole level-1 family.
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(19);
   for (std::size_t n : kLengths) {
     const auto a = random_vec(n, rng);
@@ -260,12 +260,12 @@ TEST(SimdTest, AllSelectableBackendsAgreeOnPrimitives) {
                   1e-12 * std::max(1.0, ref_ss))
           << backend_label(be) << " n=" << n;
     }
-    force_scalar(false);
+    force_backend(Backend::kAvx512);
   }
 }
 
 TEST(SimdTest, AdamUpdateAgreesAcrossSelectableBackends) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(20);
   const std::size_t n = 257;
   const auto value0 = random_vec(n, rng);
@@ -299,23 +299,23 @@ TEST(SimdTest, AdamUpdateAgreesAcrossSelectableBackends) {
       EXPECT_NEAR(v[i], v_ref[i], 1e-12) << backend_label(be) << " i=" << i;
     }
   }
-  force_scalar(false);
+  force_backend(Backend::kAvx512);
 }
 
 TEST(SimdTest, GemmDispatchesMatchScalarBackend) {
   // Direct scalar-vs-dispatch comparison at the gemm API level; shape
   // coverage (odd sizes, transposes, fused epilogues) lives in
   // tests/nn/kernels_test.cpp on top of the Matrix wrappers.
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(16);
   const std::size_t m = 5, n = 11, k = 7;
   const auto a = random_vec(m * k, rng);
   const auto b = random_vec(k * n, rng);
   std::vector<double> c_scalar(m * n, 0.5), c_vector(m * n, 0.5);
 
-  force_scalar(true);
+  force_backend(Backend::kScalar);
   gemm_nn(m, n, k, a.data(), k, b.data(), n, c_scalar.data(), n);
-  force_scalar(false);
+  force_backend(Backend::kAvx512);
   gemm_nn(m, n, k, a.data(), k, b.data(), n, c_vector.data(), n);
 
   for (std::size_t i = 0; i < m * n; ++i) {

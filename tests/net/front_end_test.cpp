@@ -161,7 +161,7 @@ TEST(FrontEndTest, UnixAndTcpRoundTripWithStatPoll) {
 
   const auto& stats = server.finish();
 
-  // Unix transcript: replies in admission order, then TELE (+METR) + END.
+  // Unix transcript: replies in admission order, then TELE + END.
   std::vector<std::string> reply_ids;
   for (const auto& f : unix_frames) {
     if (f.type == FrameType::kReply) {
@@ -177,7 +177,7 @@ TEST(FrontEndTest, UnixAndTcpRoundTripWithStatPoll) {
   // STAT answers with the global TELE; the END tail adds the
   // connection-scoped TELE.
   EXPECT_EQ(count_type(unix_frames, FrameType::kTelemetry), 2u);
-  EXPECT_EQ(count_type(unix_frames, FrameType::kMetrics), 1u);
+  EXPECT_EQ(count_type(unix_frames, FrameType::kMetrics), 0u);
   EXPECT_EQ(unix_frames.back().type, FrameType::kEnd);
   EXPECT_EQ(count_type(unix_frames, FrameType::kError), 0u);
 
@@ -433,13 +433,13 @@ TEST(FrontEndTest, FlushBarrierAcksWithConnectionTele) {
   const auto frames = read_until_end(client);
   (void)server.finish();
 
-  // REP(pre), TELE (flush ack), REP(post), TELE, METR, END.
+  // REP(pre), TELE (flush ack), REP(post), TELE, END.
   std::vector<FrameType> types;
   for (const auto& f : frames) types.push_back(f.type);
   EXPECT_EQ(types, (std::vector<FrameType>{
                        FrameType::kReply, FrameType::kTelemetry,
                        FrameType::kReply, FrameType::kTelemetry,
-                       FrameType::kMetrics, FrameType::kEnd}));
+                       FrameType::kEnd}));
   EXPECT_NE(frames[0].payload.find("\"id\":\"pre\""), std::string::npos);
   EXPECT_NE(frames[2].payload.find("\"id\":\"post\""), std::string::npos);
   // The ack carries the merge the barrier this connection waited on made.
@@ -480,7 +480,7 @@ TEST(FrontEndTest, HalfCloseDuringFlushBarrierServesBufferedFrames) {
   EXPECT_EQ(types, (std::vector<FrameType>{
                        FrameType::kReply, FrameType::kTelemetry,
                        FrameType::kReply, FrameType::kTelemetry,
-                       FrameType::kMetrics, FrameType::kEnd}));
+                       FrameType::kEnd}));
   EXPECT_EQ(count_type(frames, FrameType::kError), 0u);
   EXPECT_EQ(stats.protocol_errors, 0u);
   EXPECT_EQ(stats.clean_ends, 1u);
@@ -592,14 +592,13 @@ TEST(FrontEndTest, BackToBackFlushBarriersBothAck) {
   const auto frames = read_until_end(client);
   (void)server.finish();
 
-  // REP(pre), TELE, TELE (each barrier acks), REP(post), TELE, METR, END.
+  // REP(pre), TELE, TELE (each barrier acks), REP(post), TELE, END.
   std::vector<FrameType> types;
   for (const auto& f : frames) types.push_back(f.type);
   EXPECT_EQ(types, (std::vector<FrameType>{
                        FrameType::kReply, FrameType::kTelemetry,
                        FrameType::kTelemetry, FrameType::kReply,
-                       FrameType::kTelemetry, FrameType::kMetrics,
-                       FrameType::kEnd}));
+                       FrameType::kTelemetry, FrameType::kEnd}));
 }
 
 TEST(FrontEndTest, FramesBufferedDuringBarrierAreServedAfterResume) {
@@ -636,7 +635,7 @@ TEST(FrontEndTest, FramesBufferedDuringBarrierAreServedAfterResume) {
   EXPECT_EQ(types, (std::vector<FrameType>{
                        FrameType::kReply, FrameType::kTelemetry,
                        FrameType::kReply, FrameType::kTelemetry,
-                       FrameType::kMetrics, FrameType::kEnd}));
+                       FrameType::kEnd}));
 }
 
 TEST(FrontEndTest, AbandonedFlushBarrierUnblocksOtherConnections) {

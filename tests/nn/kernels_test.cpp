@@ -1,8 +1,8 @@
 // Property tests for the GEMM family against a naive triple-loop
 // reference: odd shapes (1x1, 1xn, nx1, non-multiples of the 4x8 register
-// block), agreement within 1e-12, identical results under the forced
-// scalar backend, the fused bias+activation epilogue for all activations,
-// and the cache-blocked transpose.
+// block) and shapes of 256 and more, agreement within 1e-12 on every
+// selectable ISA tier, the fused bias+activation epilogue for all
+// activations, and the cache-blocked transpose.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -62,51 +62,76 @@ const Shape kShapes[] = {{1, 1, 1},   {1, 7, 1},  {1, 3, 9},   {9, 3, 1},
                          {7, 13, 6},  {8, 8, 8},  {12, 4, 20}, {13, 17, 19},
                          {16, 32, 8}, {33, 9, 34}, {64, 64, 64}};
 
-class ForceScalarGuard {
+// GEMMs with every dimension at 256 or more, two of them with ragged
+// edges past every register tile; they run the same register-blocked
+// kernels as the small shapes.
+const Shape kLargeShapes[] = {{256, 256, 256}, {259, 261, 263},
+                              {300, 270, 265}};
+
+std::vector<Shape> gemm_shapes() {
+  std::vector<Shape> out(std::begin(kShapes), std::end(kShapes));
+  out.insert(out.end(), std::begin(kLargeShapes), std::end(kLargeShapes));
+  return out;
+}
+
+std::vector<common::simd::Backend> selectable_backends() {
+  using common::simd::Backend;
+  std::vector<Backend> out;
+  for (Backend b : {Backend::kScalar, Backend::kAvx2, Backend::kAvx512}) {
+    if (common::simd::backend_selectable(b)) out.push_back(b);
+  }
+  return out;
+}
+
+void use_scalar_backend(bool scalar) {
+  common::simd::force_backend(scalar ? common::simd::Backend::kScalar
+                                     : common::simd::Backend::kAvx512);
+}
+
+class BackendGuard {
  public:
-  ForceScalarGuard() { common::simd::force_scalar(false); }
-  ~ForceScalarGuard() { common::simd::force_scalar(false); }
+  ~BackendGuard() { use_scalar_backend(false); }
 };
 
 TEST(KernelsTest, MatmulMatchesNaiveReferenceOnOddShapes) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(21);
-  for (const auto& s : kShapes) {
+  for (const auto& s : gemm_shapes()) {
     const Matrix a = random_matrix(s.m, s.k, rng);
     const Matrix b = random_matrix(s.k, s.n, rng);
     const Matrix expected = ref_matmul(a, b);
-    expect_close(matmul(a, b), expected, "matmul vectorized");
-    common::simd::force_scalar(true);
-    expect_close(matmul(a, b), expected, "matmul scalar");
-    common::simd::force_scalar(false);
+    for (const auto be : selectable_backends()) {
+      common::simd::force_backend(be);
+      expect_close(matmul(a, b), expected, common::simd::backend_label(be));
+    }
   }
 }
 
 TEST(KernelsTest, MatmulTnMatchesNaiveReference) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(22);
-  for (const auto& s : kShapes) {
+  for (const auto& s : gemm_shapes()) {
     const Matrix a = random_matrix(s.k, s.m, rng);  // A^T is m x k
     const Matrix b = random_matrix(s.k, s.n, rng);
     const Matrix expected = ref_matmul(a.transposed(), b);
-    expect_close(matmul_tn(a, b), expected, "matmul_tn vectorized");
-    common::simd::force_scalar(true);
-    expect_close(matmul_tn(a, b), expected, "matmul_tn scalar");
-    common::simd::force_scalar(false);
+    for (const auto be : selectable_backends()) {
+      common::simd::force_backend(be);
+      expect_close(matmul_tn(a, b), expected, common::simd::backend_label(be));
+    }
   }
 }
 
 TEST(KernelsTest, MatmulNtMatchesNaiveReference) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(23);
-  for (const auto& s : kShapes) {
+  for (const auto& s : gemm_shapes()) {
     const Matrix a = random_matrix(s.m, s.k, rng);
     const Matrix b = random_matrix(s.n, s.k, rng);  // B^T is k x n
     const Matrix expected = ref_matmul(a, b.transposed());
-    expect_close(matmul_nt(a, b), expected, "matmul_nt vectorized");
-    common::simd::force_scalar(true);
-    expect_close(matmul_nt(a, b), expected, "matmul_nt scalar");
-    common::simd::force_scalar(false);
+    for (const auto be : selectable_backends()) {
+      common::simd::force_backend(be);
+      expect_close(matmul_nt(a, b), expected, common::simd::backend_label(be));
+    }
   }
 }
 
@@ -121,7 +146,7 @@ double apply_ref(double x, Activation act) {
 }
 
 TEST(KernelsTest, MatmulBiasActMatchesUnfusedComposition) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(24);
   for (const Activation act : {Activation::kNone, Activation::kRelu,
                                Activation::kTanh, Activation::kSigmoid}) {
@@ -139,10 +164,10 @@ TEST(KernelsTest, MatmulBiasActMatchesUnfusedComposition) {
 
       expect_close(matmul_bias_act(x, w, bias, act), expected,
                    "matmul_bias_act vectorized");
-      common::simd::force_scalar(true);
+      use_scalar_backend(true);
       expect_close(matmul_bias_act(x, w, bias, act), expected,
                    "matmul_bias_act scalar");
-      common::simd::force_scalar(false);
+      use_scalar_backend(false);
     }
   }
 }
@@ -187,16 +212,16 @@ TEST(KernelsTest, FusedLinearForwardMatchesUnfusedLayers) {
 }
 
 TEST(KernelsTest, MlpForwardIdenticalUnderBothBackends) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(28);
   Mlp net({9, 32, 32, 4}, rng);
   Matrix x = random_matrix(7, 9, rng);
   for (double& v : x.flat()) v = rng.uniform();
 
   const Matrix y_vec = net.forward(x);
-  common::simd::force_scalar(true);
+  use_scalar_backend(true);
   const Matrix y_scalar = net.forward(x);
-  common::simd::force_scalar(false);
+  use_scalar_backend(false);
   expect_close(y_vec, y_scalar, "mlp forward scalar vs vector");
 }
 
@@ -207,14 +232,14 @@ TEST(KernelsTest, MlpForwardIdenticalUnderBothBackends) {
 // bit-identical results, so compare with EXPECT_EQ, for clipping
 // disabled (grad_clip <= 0), not triggered, and triggered.
 TEST(KernelsTest, AdamUpdateClippedMatchesUnfusedCompositionBitExact) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   namespace simd = common::simd;
   constexpr double kBeta1 = 0.9, kBeta2 = 0.999, kLr = 1e-3, kEps = 1e-8;
   constexpr double kBc1 = 1.0 - 0.9, kBc2 = 1.0 - 0.999;  // step 1
   const std::size_t sizes[] = {1, 3, 17, 64, 5};
 
   for (const bool scalar : {false, true}) {
-    common::simd::force_scalar(scalar);
+    use_scalar_backend(scalar);
     for (const double grad_clip : {-1.0, 0.0, 1e9, 0.5}) {
       Rng rng(29);
       std::vector<std::vector<double>> value, grad, m, v;
@@ -269,21 +294,21 @@ TEST(KernelsTest, AdamUpdateClippedMatchesUnfusedCompositionBitExact) {
         }
       }
     }
-    common::simd::force_scalar(false);
+    use_scalar_backend(false);
   }
 }
 
 // The two backends agree to the usual 1e-12 reduction tolerance on the
 // updated parameters.
 TEST(KernelsTest, AdamUpdateClippedBackendsAgree) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   namespace simd = common::simd;
   constexpr double kBeta1 = 0.9, kBeta2 = 0.999, kLr = 1e-3, kEps = 1e-8;
   constexpr double kBc1 = 1.0 - 0.9, kBc2 = 1.0 - 0.999;
   const std::size_t n = 103;
 
   auto run = [&](bool scalar) {
-    common::simd::force_scalar(scalar);
+    use_scalar_backend(scalar);
     Rng rng(30);
     std::vector<double> value(n), grad(n), m(n), v(n);
     for (double& x : value) x = rng.normal();
@@ -293,7 +318,7 @@ TEST(KernelsTest, AdamUpdateClippedBackendsAgree) {
     simd::AdamTensor tensor{value.data(), grad.data(), m.data(), v.data(), n};
     simd::adam_update_clipped(&tensor, 1, /*grad_clip=*/0.5, kBeta1, kBeta2,
                               kBc1, kBc2, kLr, kEps);
-    common::simd::force_scalar(false);
+    use_scalar_backend(false);
     return value;
   };
 
@@ -303,89 +328,6 @@ TEST(KernelsTest, AdamUpdateClippedBackendsAgree) {
     const double tol = 1e-12 * std::max(1.0, std::abs(sca[i]));
     EXPECT_NEAR(vec[i], sca[i], tol) << "elem " << i;
   }
-}
-
-// Packed vs register-blocked contract: both keep each output element's
-// FMA chain in ascending-k order, but the packed path splits k into KC
-// blocks (each block's partial sum rounds once when added into C) and
-// zero-pads edge tiles, so agreement is ulp-scale, not bit-exact. The
-// bound below scales with k * machine-epsilon against the magnitude of
-// the accumulated products, which covers random-data cancellation.
-TEST(KernelsTest, PackedGemmMatchesRegisterBlockedWithinUlps) {
-  namespace simd = common::simd;
-  ForceScalarGuard guard;
-  if (!simd::vectorized_active()) {
-    GTEST_SKIP() << "no vector backend on this machine";
-  }
-  Rng rng(77);
-  // At and above the threshold, plus odd shapes that exercise partial
-  // MR/NR edge tiles and KC remainders on the packed path.
-  const Shape shapes[] = {{256, 256, 256}, {259, 261, 263}, {300, 270, 265}};
-  for (const auto& s : shapes) {
-    const Matrix a = random_matrix(s.m, s.k, rng);
-    const Matrix b = random_matrix(s.k, s.n, rng);
-    const Matrix a_t = a.transposed();
-    const Matrix b_t = b.transposed();
-
-    simd::force_gemm_path(simd::GemmPath::kRegisterBlocked);
-    const Matrix nn_blocked = matmul(a, b);
-    const Matrix tn_blocked = matmul_tn(a_t, b);
-    const Matrix nt_blocked = matmul_nt(a, b_t);
-    simd::force_gemm_path(simd::GemmPath::kPacked);
-    simd::reset_dispatch_counts();
-    const Matrix nn_packed = matmul(a, b);
-    const Matrix tn_packed = matmul_tn(a_t, b);
-    const Matrix nt_packed = matmul_nt(a, b_t);
-    EXPECT_EQ(simd::dispatch_counts().packed_calls, 3ull);
-    simd::force_gemm_path(simd::GemmPath::kAuto);
-
-    // |error| <= ~k ulps of the accumulated magnitude; 32*k*eps leaves
-    // headroom for the KC-block re-rounding without hiding real bugs.
-    const double tol_scale =
-        32.0 * static_cast<double>(s.k) * 2.220446049250313e-16;
-    const Matrix* blocked[] = {&nn_blocked, &tn_blocked, &nt_blocked};
-    const Matrix* packed[] = {&nn_packed, &tn_packed, &nt_packed};
-    const char* names[] = {"nn", "tn", "nt"};
-    for (int v = 0; v < 3; ++v) {
-      for (std::size_t i = 0; i < s.m; ++i) {
-        for (std::size_t j = 0; j < s.n; ++j) {
-          const double ref = (*blocked[v])(i, j);
-          // Accumulated-magnitude proxy: sqrt(k) * O(1) elements; use
-          // max(1, |ref|) floor plus the k-scaled band.
-          const double tol = tol_scale * std::max(32.0, std::abs(ref));
-          EXPECT_NEAR((*packed[v])(i, j), ref, tol)
-              << names[v] << " shape " << s.m << "x" << s.k << "x" << s.n
-              << " at (" << i << "," << j << ")";
-        }
-      }
-    }
-  }
-}
-
-// kAuto flips to the packed path exactly at the documented threshold.
-TEST(KernelsTest, PackedPathSelectedBySizeThreshold) {
-  namespace simd = common::simd;
-  ForceScalarGuard guard;
-  if (!simd::vectorized_active()) {
-    GTEST_SKIP() << "no vector backend on this machine";
-  }
-  const std::size_t t = simd::packed_gemm_min_dim();
-  ASSERT_EQ(simd::forced_gemm_path(), simd::GemmPath::kAuto);
-  Rng rng(78);
-  const Matrix a = random_matrix(t, t, rng);
-  const Matrix b = random_matrix(t, t, rng);
-
-  simd::reset_dispatch_counts();
-  matmul(a, b);
-  EXPECT_EQ(simd::dispatch_counts().packed_calls, 1ull)
-      << "at-threshold GEMM must pack";
-
-  const Matrix a_small = random_matrix(t - 1, t, rng);
-  simd::reset_dispatch_counts();
-  matmul(a_small, b);
-  EXPECT_EQ(simd::dispatch_counts().packed_calls, 0ull)
-      << "below-threshold GEMM must stay register-blocked";
-  simd::reset_dispatch_counts();
 }
 
 TEST(KernelsTest, ActivationGradFromOutputMatchesDefinition) {

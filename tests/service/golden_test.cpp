@@ -156,7 +156,7 @@ std::string serve(const std::string& input, bool with_fake_runner,
                   obs::TimeSeriesRegistry* series = nullptr) {
   StreamingOptions options;
   options.service.threads = 1;
-  // The METR frame carries build-info labels; pin them so the transcript
+  // The TELE frames carry build-info labels; pin them so the transcript
   // bytes stay identical across numeric backends and host core counts.
   options.build_info = obs::BuildInfo{"golden", "pinned", false, 1};
   options.service.obs.series = series;
@@ -399,7 +399,7 @@ TEST(GoldenTranscriptTest, MidStreamEofIsAProtocolError) {
 
 TEST(GoldenTranscriptTest, GoldenTranscriptsDecodeAsValidWireStreams) {
   // Meta-check: every committed golden transcript is itself a well-formed
-  // DCWP stream ending in TELE + METR (compat) + END (the fuzz invariant,
+  // DCWP stream ending in TELE + END (the fuzz invariant,
   // applied to our own outputs).
   for (const char* name : {"happy_path.golden", "unknown_model.golden",
                            "malformed_frame.golden", "midstream_eof.golden",
@@ -416,11 +416,10 @@ TEST(GoldenTranscriptTest, GoldenTranscriptsDecodeAsValidWireStreams) {
     std::ostringstream buf(std::ios::binary);
     buf << in.rdbuf();
     const auto frames = decode_frames(std::move(buf).str());
-    ASSERT_GE(frames.size(), 3u) << name;
+    ASSERT_GE(frames.size(), 2u) << name;
     EXPECT_EQ(frames[frames.size() - 1].type, FrameType::kEnd) << name;
-    EXPECT_EQ(frames[frames.size() - 2].type, FrameType::kMetrics) << name;
-    EXPECT_EQ(frames[frames.size() - 3].type, FrameType::kTelemetry) << name;
-    EXPECT_EQ(frames[frames.size() - 3].payload.rfind("{\"tele\":1,", 0), 0u)
+    EXPECT_EQ(frames[frames.size() - 2].type, FrameType::kTelemetry) << name;
+    EXPECT_EQ(frames[frames.size() - 2].payload.rfind("{\"tele\":1,", 0), 0u)
         << name;
   }
 }

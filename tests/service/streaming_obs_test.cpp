@@ -245,10 +245,10 @@ TEST(StreamingObsDeterminismTest, SpanHealthCountersLandInNondeterministicTele) 
   EXPECT_NE(deterministic.find("obs.spans.emitted"), std::string::npos);
 }
 
-TEST(StreamingObsMetrTest, MetrFrameCarriesBuildInfoAndStaysParseable) {
+TEST(StreamingObsTeleTest, FinalTeleCarriesBuildInfoAndStaysParseable) {
   StreamingOptions options;
   options.service.threads = 1;
-  // Golden-style pin: METR build fields must be exactly what the options
+  // Golden-style pin: TELE build fields must be exactly what the options
   // injected, not whatever host this test runs on.
   options.build_info = obs::BuildInfo{"1.2.3-test", "pinned", false, 9};
   ShardedStreamingService svc(options, 1);
@@ -276,12 +276,16 @@ TEST(StreamingObsMetrTest, MetrFrameCarriesBuildInfoAndStaysParseable) {
 
   const auto frames = decode_frames(std::move(out).str());
   ASSERT_GE(frames.size(), 2u);
-  ASSERT_EQ(frames[frames.size() - 2].type, FrameType::kMetrics);
+  ASSERT_EQ(frames[frames.size() - 2].type, FrameType::kTelemetry);
+  for (const auto& f : frames) EXPECT_NE(f.type, FrameType::kMetrics);
+  // Line 1 of the final TELE is the aggregate object.
   const std::string& payload = frames[frames.size() - 2].payload;
+  const std::string aggregate = payload.substr(0, payload.find('\n'));
 
-  // The PR 3 reader contract: parse_flat_json tolerates unknown keys, so
-  // the extended METR must still parse and keep every legacy field.
-  const auto fields = parse_flat_json(payload);
+  // parse_flat_json tolerates unknown keys ("tele", "deterministic"), so
+  // the aggregate line parses and keeps every field the old METR frame
+  // carried.
+  const auto fields = parse_flat_json(aggregate);
   EXPECT_EQ(fields.at("aggregate"), "true");
   EXPECT_EQ(fields.at("sessions"), "1");
   EXPECT_EQ(fields.at("failed"), "0");
@@ -355,24 +359,40 @@ TEST(StreamingTeleTest, TeleFramesAtEveryProtocolPointAndOnPolls) {
   }
   EXPECT_EQ(tele, result.tele_frames);
   EXPECT_EQ(err, 1u);
-  // The deprecated METR flat frame still precedes END.
+  // The final TELE directly precedes END.
   ASSERT_GE(frames.size(), 3u);
-  EXPECT_EQ(frames[frames.size() - 2].type, FrameType::kMetrics);
+  EXPECT_EQ(frames[frames.size() - 2].type, FrameType::kTelemetry);
 
   // The deterministic variant says so and drops the scheduling-dependent
-  // float aggregates; the tail is still TELE + METR + END.
+  // float aggregates; the tail is still TELE + END.
   fe.tele_every = 0;
   fe.tele_include_nondeterministic = false;
   const auto [stable_result, stable_frames] = serve_fake(input, fe);
   EXPECT_EQ(stable_result.clean_ends, 1u);
   ASSERT_GE(stable_frames.size(), 3u);
-  EXPECT_EQ(stable_frames[stable_frames.size() - 2].type, FrameType::kMetrics);
-  const Frame& tail_tele = stable_frames[stable_frames.size() - 3];
+  const Frame& tail_tele = stable_frames[stable_frames.size() - 2];
   ASSERT_EQ(tail_tele.type, FrameType::kTelemetry);
   EXPECT_EQ(tail_tele.payload.rfind("{\"tele\":1,\"deterministic\":true,", 0),
             0u);
   EXPECT_EQ(tail_tele.payload.find("mean_speedup"), std::string::npos);
   EXPECT_NE(tail_tele.payload.find("\"sessions\":2"), std::string::npos);
+}
+
+TEST(StreamingTeleTest, VersionThreeClientIsServedWithTeleEndTail) {
+  // Clients that still announce wire v3 are served; the reply stream is
+  // v4-shaped, so it ends TELE + END with no METR.
+  std::string input = encode_frames({
+      {FrameType::kRequest, "{\"id\":\"a\",\"workload\":\"TS-D1\"}"},
+      {FrameType::kEnd, ""},
+  });
+  input[4] = static_cast<char>(3);  // little-endian low byte of the version
+  const auto [result, frames] = serve_fake(input, net::FrontEndOptions{});
+  EXPECT_EQ(result.clean_ends, 1u);
+  EXPECT_EQ(result.protocol_errors, 0u);
+  ASSERT_EQ(frames.size(), 3u);
+  EXPECT_EQ(frames[0].type, FrameType::kReply);
+  EXPECT_EQ(frames[1].type, FrameType::kTelemetry);
+  EXPECT_EQ(frames[2].type, FrameType::kEnd);
 }
 
 }  // namespace

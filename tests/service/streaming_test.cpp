@@ -301,7 +301,7 @@ TEST(StreamingTest, ServeFrameStreamEndToEnd) {
 
   const auto frames = decode_frames(out.str());
   std::size_t reps = 0;
-  bool saw_metrics = false;
+  std::string last_tele;
   std::uint64_t epoch_a = 0, epoch_c = 0;
   for (const auto& f : frames) {
     if (f.type == FrameType::kReply) {
@@ -317,13 +317,10 @@ TEST(StreamingTest, ServeFrameStreamEndToEnd) {
         epoch_c = std::strtoull(f.payload.c_str() + pos + 14, nullptr, 10);
       }
     }
-    if (f.type == FrameType::kMetrics) {
-      saw_metrics = true;
-      EXPECT_NE(f.payload.find("\"sessions\":3"), std::string::npos);
-    }
+    if (f.type == FrameType::kTelemetry) last_tele = f.payload;
   }
   EXPECT_EQ(reps, 3u);
-  EXPECT_TRUE(saw_metrics);
+  EXPECT_NE(last_tele.find("\"sessions\":3"), std::string::npos);
   EXPECT_EQ(frames.back().type, FrameType::kEnd);
   EXPECT_EQ(epoch_a, 1u) << "pre-flush request served by the initial epoch";
   EXPECT_EQ(epoch_c, 2u) << "post-flush request served by the merged epoch";

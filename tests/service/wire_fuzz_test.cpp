@@ -120,7 +120,7 @@ TEST(WireFuzzTest, TypedErrorsNameTheOffendingFrame) {
 TEST(WireFuzzTest, ServeDriverSurvivesMutatedStreams) {
   // The front end in front of the decoder must also hold the line: any
   // mutated input yields a well-formed output stream that still terminates
-  // with METR + END, never an escaped exception.
+  // with TELE + END, never an escaped exception.
   const std::string base = wire_base_stream();
   for (std::size_t i = 0; i < 1500; ++i) {
     std::string desc;
@@ -141,11 +141,10 @@ TEST(WireFuzzTest, ServeDriverSurvivesMutatedStreams) {
     const net::FrontEndStats result = net::serve_stream(svc, in, out);
 
     const auto frames = decode_frames(out.str());
-    ASSERT_GE(frames.size(), 3u) << desc;
+    ASSERT_GE(frames.size(), 2u) << desc;
     EXPECT_EQ(frames[frames.size() - 1].type, FrameType::kEnd) << desc;
-    EXPECT_EQ(frames[frames.size() - 2].type, FrameType::kMetrics) << desc;
-    EXPECT_EQ(frames[frames.size() - 3].type, FrameType::kTelemetry) << desc;
-    EXPECT_EQ(frames[frames.size() - 3].payload.rfind("{\"tele\":1,", 0), 0u)
+    EXPECT_EQ(frames[frames.size() - 2].type, FrameType::kTelemetry) << desc;
+    EXPECT_EQ(frames[frames.size() - 2].payload.rfind("{\"tele\":1,", 0), 0u)
         << desc;
     if (result.clean_ends == 0) {
       EXPECT_GT(result.protocol_errors + result.parse_errors, 0u) << desc;

@@ -77,7 +77,6 @@
 #include "common/simd.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
-#include "service/sharding.hpp"
 #include "service/wire.hpp"
 #include "gp/gp_regressor.hpp"
 #include "gp/kernel.hpp"
@@ -927,7 +926,7 @@ void export_serve_phase(obs::MetricsRegistry& registry,
 int run_serve_bench_json(const std::string& path) {
   service::StreamingOptions streaming;
   streaming.service.threads = 4;
-  service::ShardedStreamingService svc(streaming, /*shards=*/4);
+  service::StreamingService svc(streaming);
   svc.set_session_runner_for_test(serve_bench_fake_session);
 
   net::FrontEndOptions options;

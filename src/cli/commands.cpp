@@ -3,12 +3,15 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <deque>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "common/simd.hpp"
@@ -25,7 +28,6 @@
 #include "service/jsonl.hpp"
 #include "service/session.hpp"
 #include "service/service.hpp"
-#include "service/sharding.hpp"
 #include "service/streaming.hpp"
 #include "service/wire.hpp"
 #include "sparksim/config_export.hpp"
@@ -108,7 +110,7 @@ void print_usage(std::ostream& os) {
         "      --checkpoint dir/ [--in wire.bin] [--out wire.bin]\n"
         "      [--requests file.jsonl]  (framed as REQ* + END; excludes --in)\n"
         "      [--warm-index index.bin] (enables \"warm\" request retrieval)\n"
-        "      [--socket /path.sock] [--tcp host:port] [--shards 1]\n"
+        "      [--socket /path.sock] [--tcp host:port]\n"
         "      [--max-conns 256] [--max-inflight 1024] [--drain-timeout 5]\n"
         "      [--idle-timeout 0] [--exit-after N] [--flush-on-end 0|1]\n"
         "      [--model default] [--master-steps 4]\n"
@@ -150,6 +152,25 @@ void print_usage(std::ostream& os) {
         "                              k-NN query against a saved index\n";
 }
 
+/// Each command reads a fixed set of flags, the ones its print_usage
+/// entry lists. Any other name (a typo, or a flag this build no longer
+/// has) is an error instead of a silent fall back to defaults. "set"
+/// stands for the repeatable --set knob=value assignments.
+void reject_unknown_flags(const ParsedArgs& args, const std::string& command,
+                          std::initializer_list<std::string_view> known) {
+  const auto knows = [&known](std::string_view name) {
+    return std::find(known.begin(), known.end(), name) != known.end();
+  };
+  if (!args.assignments.empty() && !knows("set")) {
+    throw std::invalid_argument(command + ": unknown flag --set");
+  }
+  for (const auto& [name, value] : args.flags) {
+    if (!knows(name)) {
+      throw std::invalid_argument(command + ": unknown flag --" + name);
+    }
+  }
+}
+
 int front_end_exit_code(const net::FrontEndStats& stats) {
   // Overload rejections are the protocol working as designed, not a
   // failure; anything lost or corrupted (an EOF without END included) is.
@@ -174,10 +195,6 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
         "serve: --http requires --socket or --tcp (the observability "
         "endpoint shares the front end's epoll loop)");
   }
-  const auto shards =
-      std::max<std::size_t>(1, static_cast<std::size_t>(
-                                   args.number_or("shards", 1)));
-
   service::StreamingOptions options;
   options.service.cluster = args.flag_or("cluster", "a");
   options.service.threads =
@@ -266,7 +283,7 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
   // Wire bytes to stdout (no --out / --socket / --tcp) must stay pure
   // protocol, so status text is suppressed in that mode.
   const bool quiet = !args.flag("out") && !front_end;
-  service::ShardedStreamingService svc(options, shards);
+  service::StreamingService svc(options);
   service::ModelRegistry registry(checkpoint_dir);
 
   const auto version = registry.latest_version(model_name);
@@ -485,6 +502,7 @@ std::string scope_level_list() {
 }  // namespace
 
 int cmd_info(const ParsedArgs& args, std::ostream& os) {
+  reject_unknown_flags(args, "info", {"json", "threads"});
   // Reports what THIS process would actually use: the backend comes from
   // the live dispatch decision (CPU features + the DEEPCAT_SIMD cap), not
   // from compile flags alone. The ladder lists every tier the CPU + compile
@@ -526,7 +544,8 @@ int cmd_info(const ParsedArgs& args, std::ostream& os) {
   return 0;
 }
 
-int cmd_knobs(const ParsedArgs& /*args*/, std::ostream& os) {
+int cmd_knobs(const ParsedArgs& args, std::ostream& os) {
+  reject_unknown_flags(args, "knobs", {});
   const ConfigSpace& space = pipeline_space();
   common::Table t("Tuned configuration parameters");
   t.header({"parameter", "component", "min", "max", "default"});
@@ -541,7 +560,8 @@ int cmd_knobs(const ParsedArgs& /*args*/, std::ostream& os) {
   return 0;
 }
 
-int cmd_suite(const ParsedArgs& /*args*/, std::ostream& os) {
+int cmd_suite(const ParsedArgs& args, std::ostream& os) {
+  reject_unknown_flags(args, "suite", {});
   common::Table t("HiBench workload registry");
   t.header({"id", "workload", "input (MB)", "stages"});
   for (const auto& c : hibench_suite()) {
@@ -562,6 +582,8 @@ int cmd_suite(const ParsedArgs& /*args*/, std::ostream& os) {
 }
 
 int cmd_simulate(const ParsedArgs& args, std::ostream& os) {
+  reject_unknown_flags(args, "simulate",
+                       {"workload", "size", "cluster", "seed", "runs", "set"});
   const WorkloadType type = workload_from_flag(args.flag_or("workload", "TS"));
   const double size = args.number_or("size", default_size(type));
   const WorkloadSpec workload = make_workload(type, size);
@@ -599,6 +621,9 @@ int cmd_simulate(const ParsedArgs& args, std::ostream& os) {
 }
 
 int cmd_tune(const ParsedArgs& args, std::ostream& os) {
+  reject_unknown_flags(args, "tune",
+                       {"workload", "size", "cluster", "steps",
+                        "offline-iters", "seed", "export"});
   const WorkloadType type = workload_from_flag(args.flag_or("workload", "TS"));
   const double size = args.number_or("size", default_size(type));
   const ClusterSpec cluster = cluster_from_flag(args.flag_or("cluster", "a"));
@@ -649,13 +674,29 @@ int cmd_tune(const ParsedArgs& args, std::ostream& os) {
 }
 
 int cmd_serve(const ParsedArgs& args, std::ostream& os) {
+  const bool stream = args.number_or("stream", 0) != 0.0;
+  if (stream) {
+    reject_unknown_flags(
+        args, "serve --stream",
+        {"stream",      "checkpoint",   "in",            "out",
+         "requests",    "warm-index",   "socket",        "tcp",
+         "max-conns",   "max-inflight", "drain-timeout", "idle-timeout",
+         "exit-after",  "flush-on-end", "model",         "master-steps",
+         "max-models",  "train-iters",  "train-workload", "train-size",
+         "threads",     "cluster",      "seed",          "trace-out",
+         "metrics-out", "trace-stream", "trace-ring",    "tele-every",
+         "clock",       "http",         "series",        "reply-timings"});
+  } else {
+    reject_unknown_flags(args, "serve",
+                         {"stream", "checkpoint", "requests", "out", "model",
+                          "train-iters", "train-workload", "train-size",
+                          "threads", "cluster", "seed", "publish"});
+  }
   const auto checkpoint_dir = args.flag("checkpoint");
   if (!checkpoint_dir) {
     throw std::invalid_argument("serve: --checkpoint dir/ is required");
   }
-  if (args.number_or("stream", 0) != 0.0) {
-    return cmd_serve_stream(args, os, *checkpoint_dir);
-  }
+  if (stream) return cmd_serve_stream(args, os, *checkpoint_dir);
   const std::string model_name = args.flag_or("model", "default");
   const auto train_iters =
       static_cast<std::size_t>(args.number_or("train-iters", 0));
@@ -756,6 +797,9 @@ int cmd_serve(const ParsedArgs& args, std::ostream& os) {
 }
 
 int cmd_stats(const ParsedArgs& args, std::ostream& os) {
+  reject_unknown_flags(args, "stats",
+                       {"socket", "tcp", "requests", "series", "trace-out",
+                        "trace-id"});
   const auto socket_path = args.flag("socket");
   const auto tcp_spec = args.flag("tcp");
   if (!socket_path && !tcp_spec) {
@@ -920,6 +964,9 @@ int cmd_stats(const ParsedArgs& args, std::ostream& os) {
 namespace {
 
 int cmd_index_build(const ParsedArgs& args, std::ostream& os) {
+  reject_unknown_flags(args, "index build",
+                       {"checkpoint", "out", "model", "workloads", "seeds",
+                        "steps", "cluster"});
   const auto checkpoint_dir = args.flag("checkpoint");
   const auto out_path = args.flag("out");
   if (!checkpoint_dir || !out_path) {
@@ -996,6 +1043,8 @@ int cmd_index_build(const ParsedArgs& args, std::ostream& os) {
 }
 
 int cmd_index_query(const ParsedArgs& args, std::ostream& os) {
+  reject_unknown_flags(args, "index query",
+                       {"index", "workload", "k", "metric", "json"});
   const auto index_path = args.flag("index");
   const auto workload = args.flag("workload");
   if (!index_path || !workload) {

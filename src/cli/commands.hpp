@@ -1,6 +1,7 @@
 // The deepcat CLI subcommands, separated from main() so they are unit-
 // testable. Each returns a process exit code and writes to the provided
-// stream.
+// stream. Each throws std::invalid_argument on a flag it does not read
+// (run_cli reports it and exits 1).
 #pragma once
 
 #include <iosfwd>

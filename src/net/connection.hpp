@@ -14,7 +14,7 @@
 // `pending_replies` (keyed by per-connection admission index) and
 // releases them strictly in admission order — recording each into the
 // metrics accumulator as it goes out — so each connection's transcript
-// is byte-identical across thread counts and shard counts.
+// is byte-identical across thread counts.
 #pragma once
 
 #include <cstddef>

@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
 #include "service/jsonl.hpp"
 
@@ -68,7 +69,7 @@ void forward_signal(int) {
 
 }  // namespace
 
-FrontEnd::FrontEnd(service::ShardedStreamingService& service,
+FrontEnd::FrontEnd(service::StreamingService& service,
                    FrontEndOptions options)
     : service_(service), options_(std::move(options)) {
   listeners_.reserve(3);  // pointers below index into this vector
@@ -90,7 +91,7 @@ FrontEnd::FrontEnd(service::ShardedStreamingService& service,
                    /*backlog=*/128));
     http_listener_ = &listeners_.back();
   }
-  time_replies_ = service_.shard(0).options().reply_timings;
+  time_replies_ = service_.options().reply_timings;
   if (auto* metrics = options_.obs.metrics) {
     obs_accepted_ = &metrics->counter("net.accepted");
     obs_rejected_ = &metrics->counter("net.rejected_overload");
@@ -141,9 +142,20 @@ bool FrontEnd::accepting() const noexcept {
 }
 
 std::string FrontEnd::global_tele_payload() const {
+  // The global view reads p50/p95 off the fixed-edge rec-cost histogram
+  // (the bucket quantiles the "stream.rec_seconds" instrument reports),
+  // not the service's exact tracker.
+  service::ServiceMetrics global = service_.metrics();
+  if (global.sessions_served > 0) {
+    const std::vector<double>& edges = service::rec_cost_bucket_edges();
+    global.p50_recommendation_seconds =
+        obs::histogram_quantile(edges, global.rec_buckets, 0.50);
+    global.p95_recommendation_seconds =
+        obs::histogram_quantile(edges, global.rec_buckets, 0.95);
+  }
   std::ostringstream tele;
   service::write_telemetry_payload(
-      tele, service_.aggregate_metrics(), service_.build_info(),
+      tele, global, service_.build_info(),
       service_.metrics_registry(),
       options_.tele_include_nondeterministic);
   return strip_newline(std::move(tele).str());
@@ -314,8 +326,8 @@ void FrontEnd::handle_frame(Connection& conn, service::Frame frame) {
         ++conn.parse_errors;
       } else {
         ++conn.stat_polls;
-        // STAT is the live global poll: cross-shard aggregate plus the
-        // full instrument set, no barrier.
+        // STAT is the live global poll: service aggregate plus the full
+        // instrument set, no barrier.
         maybe_emit_tser(conn);
         conn.queue_frame(service::FrameType::kTelemetry,
                          global_tele_payload());
@@ -438,8 +450,8 @@ void FrontEnd::maybe_run_flush() {
   // consumes buffered frames (no new bytes arrive while we are here) or
   // puts sessions in flight, whose completions re-invoke us from run().
   while (flush_waiters_ > 0 && outstanding_total_ == 0) {
-    // Every callback has been processed, so every shard's in-flight count
-    // is zero: flush() will not block.
+    // Every callback has been processed, so the service's in-flight
+    // count is zero: flush() will not block.
     std::vector<Connection*> waiters;
     for (auto& [id, conn] : conns_) {
       if (conn->state == ConnState::kFlushWait) waiters.push_back(conn.get());
@@ -457,9 +469,9 @@ void FrontEnd::maybe_run_flush() {
 }
 
 void FrontEnd::flush_for(const std::vector<Connection*>& waiters) {
-  const service::ServiceMetrics before = service_.aggregate_metrics();
-  (void)service_.flush_all();
-  const service::ServiceMetrics after = service_.aggregate_metrics();
+  const service::ServiceMetrics before = service_.metrics();
+  (void)service_.flush();
+  const service::ServiceMetrics after = service_.metrics();
   for (Connection* conn : waiters) conn->metrics.record_barrier(before, after);
 }
 
@@ -725,7 +737,7 @@ std::string FrontEnd::route_http(const HttpRequest& request) {
         std::move(os).str());
   }
   if (request.path == "/varz") {
-    // The same payload a STAT poll gets, over HTTP: live cross-shard
+    // The same payload a STAT poll gets, over HTTP: live service
     // aggregate plus the instrument set, flat JSON.
     ++stats_.http_requests;
     return render_http_response(200, "application/json",
@@ -909,7 +921,7 @@ FrontEndStats FrontEnd::run() {
 
   // Final barrier: merge whatever completed without an explicit FLSH so
   // checkpoints after a drain reflect every admitted session.
-  (void)service_.flush_all();
+  (void)service_.flush();
   return stats_;
 }
 
@@ -940,7 +952,7 @@ void pump_fd(int in_fd, int fd, int stop_fd) {
 /// is adopted, `pump_input(fd, stop_fd)` feeds the client end on one
 /// thread, and a second thread copies the server's bytes to `out`.
 FrontEndStats serve_adopted(
-    service::ShardedStreamingService& service, std::ostream& out,
+    service::StreamingService& service, std::ostream& out,
     FrontEndOptions options,
     const std::function<void(int fd, int stop_fd)>& pump_input) {
   int fds[2];
@@ -1010,7 +1022,7 @@ FrontEndStats serve_adopted(
 
 }  // namespace
 
-FrontEndStats serve_stream(service::ShardedStreamingService& service,
+FrontEndStats serve_stream(service::StreamingService& service,
                            std::istream& in, std::ostream& out,
                            FrontEndOptions options) {
   return serve_adopted(service, out, std::move(options),
@@ -1028,7 +1040,7 @@ FrontEndStats serve_stream(service::ShardedStreamingService& service,
                        });
 }
 
-FrontEndStats serve_stream(service::ShardedStreamingService& service,
+FrontEndStats serve_stream(service::StreamingService& service,
                            int in_fd, std::ostream& out,
                            FrontEndOptions options) {
   return serve_adopted(service, out, std::move(options),

@@ -1,17 +1,16 @@
 // FrontEnd: the epoll serving loop that multiplexes many DCWP
-// connections over one ShardedStreamingService.
+// connections over one StreamingService.
 //
 // Architecture (DESIGN.md §11):
 //
 //   - ONE event-loop thread owns all sockets and all Connection state;
-//     sessions run on the shards' pools. Completions cross back via a
+//     sessions run on the service's pool. Completions cross back via a
 //     mutex-guarded queue plus an eventfd wakeup, so no connection state
 //     is ever touched off-loop.
 //   - Replies are released in per-connection ADMISSION order (buffered in
 //     Connection::pending_replies until their turn), so every
 //     connection's transcript is a pure function of its own request
-//     sequence — independent of thread count, shard count and the other
-//     connections.
+//     sequence — independent of thread count and the other connections.
 //   - Admission control is typed, never silent: a connection beyond
 //     --max-conns is greeted with header + ERR "overloaded" + END; a
 //     request beyond --max-inflight gets an ERR naming its index. Both
@@ -19,7 +18,7 @@
 //   - FLSH is a deferred barrier: the flushing connection parks in
 //     kFlushWait and frame processing pauses globally (no new
 //     admissions); once every outstanding session has completed the loop
-//     runs flush_all() and answers each waiter with its connection-scoped
+//     runs flush() and answers each waiter with its connection-scoped
 //     TELE — re-evaluating until no waiter remains, since a FLSH decoded
 //     while re-pumping buffered frames re-parks after the reset. The loop
 //     thread itself never blocks in flush(). While paused (and once a
@@ -35,7 +34,7 @@
 //     payload, warm precheck, in-flight cap) go out immediately.
 //   - Graceful drain (SIGTERM/SIGINT or request_shutdown()): stop
 //     accepting, let in-flight sessions finish and their replies go out,
-//     run one final flush_all(), then emit each connection's TELE + END
+//     run one final flush(), then emit each connection's TELE + END
 //     tail and close once its write buffer empties. --drain-timeout
 //     bounds the wait, after which stragglers are force-closed (counted,
 //     never silent).
@@ -44,10 +43,10 @@
 // session aggregates, recorded in admission order (deterministic per
 // connection), plus the merge counters of the barriers it waited on, then
 // the registry instrument lines. STAT answers carry the live GLOBAL
-// cross-shard aggregate plus the instrument set — that is what
-// `deepcat stats` polls. Its p50/p95 come from the merged fixed-edge
-// histogram (ShardedStreamingService::aggregate_metrics), so they are
-// bucket quantiles, not the exact per-connection ones.
+// service aggregate plus the instrument set — that is what `deepcat
+// stats` polls. Its p50/p95 come from the service's fixed-edge rec-cost
+// histogram (global_tele_payload), so they are bucket quantiles, not the
+// exact per-connection ones.
 //
 // Streams that are not sockets (stdin/stdout, files, in-memory buffers)
 // are served by serve_stream() below as one adopted connection of a
@@ -69,7 +68,7 @@
 #include "net/http.hpp"
 #include "net/socket.hpp"
 #include "obs/sink.hpp"
-#include "service/sharding.hpp"
+#include "service/streaming.hpp"
 
 namespace deepcat::net {
 
@@ -137,7 +136,7 @@ class FrontEnd {
   /// Binds all configured listeners (throws on failure, nothing leaks —
   /// the Listener guards own fds and socket files). With none configured
   /// the front end serves only connections handed to adopt().
-  FrontEnd(service::ShardedStreamingService& service, FrontEndOptions options);
+  FrontEnd(service::StreamingService& service, FrontEndOptions options);
 
   /// Serves an already-connected stream socket as if it had just been
   /// accepted (counts toward exit_after_connections). Call before run().
@@ -198,10 +197,10 @@ class FrontEnd {
   [[nodiscard]] bool wants_read(const Connection& conn) const noexcept;
   [[nodiscard]] bool accepting() const noexcept;
   [[nodiscard]] std::string global_tele_payload() const;
-  /// flush_all() that credits the merge counters it moved to `waiters`.
+  /// flush() that credits the merge counters it moved to `waiters`.
   void flush_for(const std::vector<Connection*>& waiters);
 
-  service::ShardedStreamingService& service_;
+  service::StreamingService& service_;
   FrontEndOptions options_;
   EventLoop loop_;
   WakeFd wake_;
@@ -254,14 +253,14 @@ class FrontEnd {
 /// on one side cannot deadlock the other. Returns once the connection is
 /// done. `in` is read in 64 KiB blocks, so it suits streams that never
 /// wait for a producer (in-memory buffers, files).
-FrontEndStats serve_stream(service::ShardedStreamingService& service,
+FrontEndStats serve_stream(service::StreamingService& service,
                            std::istream& in, std::ostream& out,
                            FrontEndOptions options = {});
 
 /// The same for a file descriptor (stdin, a pipe, a file): bytes are
 /// forwarded as soon as read() returns them, and the pump stops when the
 /// stream ends even if `in_fd` stays open. `in_fd` is not closed.
-FrontEndStats serve_stream(service::ShardedStreamingService& service,
+FrontEndStats serve_stream(service::StreamingService& service,
                            int in_fd, std::ostream& out,
                            FrontEndOptions options = {});
 

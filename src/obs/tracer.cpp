@@ -44,9 +44,6 @@ void write_json_string(std::ostream& os, const std::string& s) {
 
 Tracer::Tracer(Clock& clock, TracerOptions options)
     : clock_(&clock), options_(options) {
-  if (options_.sample_every == 0) {
-    throw std::invalid_argument("Tracer: sample_every must be >= 1");
-  }
   if (options_.exporter != nullptr && options_.ring_capacity == 0) {
     throw std::invalid_argument("Tracer: ring_capacity must be >= 1");
   }
@@ -62,8 +59,6 @@ Tracer::Tracer(Clock& clock, TracerOptions options)
         &options_.health->counter("obs.spans.dropped", /*deterministic=*/false);
     health_ring_highwater_ = &options_.health->gauge(
         "obs.spans.ring_highwater", /*deterministic=*/false);
-    options_.health->gauge("obs.sample_every")
-        .set(static_cast<double>(options_.sample_every));
   }
 }
 
@@ -90,15 +85,6 @@ void Tracer::drain_ring_locked() {
 
 std::uint64_t Tracer::begin_span(std::string name, std::uint64_t parent) {
   std::lock_guard lock(mutex_);
-  if (parent == 0) {
-    // Which roots survive sampling depends on admission order, so any
-    // sample_every > 1 opts out of cross-interleaving determinism; the
-    // deterministic contract holds at the default of 1.
-    const std::uint64_t seq = roots_seen_++;
-    if (options_.sample_every > 1 && seq % options_.sample_every != 0) {
-      return 0;
-    }
-  }
   if (options_.exporter == nullptr) {
     // Retained mode: ids are 1-based indexes into records_.
     if (records_.size() >= options_.max_spans) {
@@ -126,10 +112,10 @@ std::uint64_t Tracer::begin_span(std::string name, std::uint64_t parent) {
     return 0;
   }
   Record rec;
-  // A parent that already completed (or was sampled out) has left the open
-  // map; its child exports re-parented to root. Instrumented code in this
-  // repo always closes parents after children, so this is a defensive
-  // path, not a hot one.
+  // A parent that already completed (or was dropped at the cap) has left
+  // the open map; its child exports re-parented to root. Instrumented code
+  // in this repo always closes parents after children, so this is a
+  // defensive path, not a hot one.
   const auto parent_it = parent == 0 ? open_.end() : open_.find(parent);
   rec.parent = parent_it == open_.end() ? 0 : parent;
   ++edges_[{parent_it == open_.end() ? std::string()

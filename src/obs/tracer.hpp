@@ -30,10 +30,6 @@
 // never loses it). Tick assignment order still depends on interleaving,
 // so golden tests compare structure_signature(), not bytes. See
 // DESIGN.md §10.
-//
-// Sampling: sample_every = N keeps every Nth *root* span (children of a
-// kept root are always kept; children of a dropped root see parent id 0
-// and are sampled independently as roots). Default 1 = keep everything.
 #pragma once
 
 #include <cstddef>
@@ -57,8 +53,6 @@ class Counter;
 class Gauge;
 
 struct TracerOptions {
-  /// Keep every Nth root span (1 = all). Must be >= 1.
-  std::size_t sample_every = 1;
   /// Retained mode: hard cap on stored spans; beyond it begin_span()
   /// drops (returns 0) and counts. Streaming mode: cap on simultaneously
   /// OPEN spans — completed spans stream out and are never capped.
@@ -69,9 +63,9 @@ struct TracerOptions {
   /// the exporter synchronously (back-pressure, no loss). Must be >= 1.
   std::size_t ring_capacity = 256;
   /// Optional registry for tracer health instruments
-  /// (obs.spans.emitted/dropped/ring_highwater, obs.sample_every) so
-  /// trace loss is visible in the metrics snapshot, not only via
-  /// accessors. Must outlive the tracer.
+  /// (obs.spans.emitted/dropped/ring_highwater) so trace loss is visible
+  /// in the metrics snapshot, not only via accessors. Must outlive the
+  /// tracer.
   MetricsRegistry* health = nullptr;
 };
 
@@ -85,8 +79,8 @@ class Tracer {
   [[nodiscard]] Clock& clock() noexcept { return *clock_; }
 
   /// Opens a span. parent = 0 means root. Returns the span id (> 0), or 0
-  /// when the span was sampled out or the cap was hit — 0 is always safe
-  /// to pass as a parent and to end_span().
+  /// when the cap was hit — 0 is always safe to pass as a parent and to
+  /// end_span().
   [[nodiscard]] std::uint64_t begin_span(std::string name,
                                          std::uint64_t parent = 0);
 
@@ -95,10 +89,9 @@ class Tracer {
   void end_span(std::uint64_t id);
 
   /// Records an already-timed span with explicit start/duration, bypassing
-  /// the clock (and root sampling — the caller already decided to keep
-  /// it). Used to graft timings measured elsewhere into this trace: the
-  /// stats client turns a REP's t_*_ns stage block into child spans of its
-  /// local rpc span, so one Chrome-trace file shows the request's full
+  /// the clock. Used to graft timings measured elsewhere into this trace:
+  /// the stats client turns a REP's t_*_ns stage block into child spans of
+  /// its local rpc span, so one Chrome-trace file shows the request's full
   /// life across both processes. Returns the span id, or 0 when dropped
   /// at the span cap.
   std::uint64_t add_complete_span(std::string name, std::uint64_t parent,
@@ -196,7 +189,6 @@ class Tracer {
   std::map<std::pair<std::string, std::string>, std::uint64_t> edges_;
 
   std::map<std::thread::id, std::uint32_t> tids_;
-  std::uint64_t roots_seen_ = 0;
   std::uint64_t dropped_ = 0;
 
   // Health instruments (null when options_.health is null).

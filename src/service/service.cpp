@@ -74,7 +74,7 @@ void SessionMetrics::record(const SessionReport& report) {
   const double rec = report.report.total_recommendation_seconds();
   totals_.recommendation_seconds += rec;
   rec_costs_.add(rec);
-  // Exact bucket counts for cross-shard percentile merges: bucket i
+  // Fixed-edge bucket counts for the global view's quantiles: bucket i
   // counts rec <= edges[i] (first match), mirroring obs::Histogram.
   const std::vector<double>& edges = rec_cost_bucket_edges();
   const auto it = std::lower_bound(edges.begin(), edges.end(), rec);

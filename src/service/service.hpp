@@ -24,11 +24,10 @@ namespace deepcat::service {
 /// request stream cannot grow service memory without limit.
 inline constexpr std::size_t kRecCostSampleCap = 65536;
 
-/// Fixed bucket upper edges for recommendation-cost histograms. Every
-/// shard uses the same edges by construction, so cross-shard aggregation
-/// can merge bucket counts exactly (sharding.hpp) instead of averaging
-/// per-shard quantiles. Matches the "stream.rec_seconds" registry
-/// histogram so wire and in-process views agree.
+/// Fixed bucket upper edges for recommendation-cost histograms: the
+/// global STAT / varz view reads its p50/p95 off these buckets. Matches
+/// the "stream.rec_seconds" registry histogram so wire and in-process
+/// views agree.
 [[nodiscard]] inline const std::vector<double>& rec_cost_bucket_edges() {
   static const std::vector<double> edges{1.0,  2.0,   5.0,   10.0,  20.0,
                                          50.0, 100.0, 200.0, 500.0, 1000.0};
@@ -62,10 +61,8 @@ struct ServiceMetrics {
   std::size_t merged_transitions = 0; ///< transitions folded into masters
   std::size_t fine_tune_steps = 0;    ///< bounded master fine-tune steps taken
   /// Per-bucket counts of per-session recommendation cost over
-  /// rec_cost_bucket_edges() (+1 overflow bucket). Carried for exact
-  /// cross-shard percentile aggregation only — never serialized into
-  /// TELE, so transcripts are unchanged. Empty when the service
-  /// predates the field (aggregators treat empty as all-zero).
+  /// rec_cost_bucket_edges() (+1 overflow bucket), from which the global
+  /// STAT view derives its bucket quantiles. Never serialized into TELE.
   std::vector<std::uint64_t> rec_buckets;
 };
 

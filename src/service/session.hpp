@@ -84,9 +84,9 @@ struct TuningRequest {
 
 /// The registry/routing key a request's model resolves to under its scope:
 /// kGlobal -> "m", kWorkload -> "m@wl:<workload>", kHardware ->
-/// "m@hw:<cluster>". Scoped keys feed both ModelRegistry lookup and shard
+/// "m@hw:<cluster>". Scoped keys feed both ModelRegistry lookup and model
 /// routing, so the same name tunes independently per workload or hardware
-/// class while checkpoints stay bit-identical across shard/thread layouts.
+/// class while checkpoints stay bit-identical across thread counts.
 [[nodiscard]] std::string scoped_model_key(const TuningRequest& request);
 
 /// Inverse of scoped_model_key's derivation: the base model name a scoped

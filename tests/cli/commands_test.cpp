@@ -128,6 +128,32 @@ TEST(CliCommandsTest, TuneEndToEndWithExport) {
   EXPECT_NE(text.find("spark.executor.memory"), std::string::npos);
 }
 
+TEST(CliCommandsTest, TuneRejectsAnUnknownFlag) {
+  // A typo must not fall back to the default step budget.
+  std::ostringstream os;
+  EXPECT_EQ(run_cli({"tune", "--workload", "TS", "--step", "5"}, os), 1);
+  EXPECT_NE(os.str().find("tune: unknown flag --step"), std::string::npos)
+      << os.str();
+  EXPECT_EQ(os.str().find("online tuning report"), std::string::npos);
+}
+
+TEST(CliCommandsTest, ServeRejectsTheShardsFlag) {
+  // Both serve modes name the flag instead of silently ignoring it.
+  std::ostringstream batch;
+  EXPECT_EQ(run_cli({"serve", "--shards", "4"}, batch), 1);
+  EXPECT_NE(batch.str().find("serve: unknown flag --shards"),
+            std::string::npos)
+      << batch.str();
+  std::ostringstream stream;
+  EXPECT_EQ(run_cli({"serve", "--stream", "1", "--checkpoint", "unused",
+                     "--shards", "4"},
+                    stream),
+            1);
+  EXPECT_NE(stream.str().find("serve --stream: unknown flag --shards"),
+            std::string::npos)
+      << stream.str();
+}
+
 TEST(CliCommandsTest, TuneRejectsBadExportFormat) {
   std::ostringstream os;
   EXPECT_EQ(run_cli({"tune", "--workload", "TS", "--offline-iters", "80",
@@ -184,11 +210,11 @@ TEST(CliCommandsTest, ServeStreamEndToEndOverWireFiles) {
   EXPECT_EQ(frames.back().type, service::FrameType::kEnd);
 }
 
-TEST(CliCommandsTest, ServeStreamTranscriptIndependentOfThreadsAndShards) {
+TEST(CliCommandsTest, ServeStreamTranscriptIndependentOfThreads) {
   // The stdin/--in path is one front-end connection: REPs leave in
   // admission order and the TELE aggregates are recorded in that
-  // order, so the wire output is byte-identical across pool and shard
-  // layouts.
+  // order, so every frame is byte-identical across pool sizes except
+  // the TELE build label that names the pool size.
   const std::string dir = tests::unique_temp_path("deepcat_cli_layouts");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
@@ -233,11 +259,22 @@ TEST(CliCommandsTest, ServeStreamTranscriptIndependentOfThreadsAndShards) {
     return bytes.str();
   };
   const std::string narrow = serve({"--threads", "1"}, dir + "/t1.wire");
-  const std::string wide =
-      serve({"--threads", "4", "--shards", "4"}, dir + "/t4s4.wire");
+  const std::string wide = serve({"--threads", "4"}, dir + "/t4.wire");
   ASSERT_FALSE(narrow.empty());
-  EXPECT_EQ(narrow, wide);
   const auto frames = service::decode_frames(narrow);
+  const auto wide_frames = service::decode_frames(wide);
+  ASSERT_EQ(frames.size(), wide_frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(frames[i].type, wide_frames[i].type) << "frame " << i;
+    std::string payload = wide_frames[i].payload;
+    if (wide_frames[i].type == service::FrameType::kTelemetry) {
+      const std::string label = "\"threads\":4";
+      const auto at = payload.find(label);
+      ASSERT_NE(at, std::string::npos) << payload;
+      payload.replace(at, label.size(), "\"threads\":1");
+    }
+    EXPECT_EQ(frames[i].payload, payload) << "frame " << i;
+  }
   std::string order;
   for (const auto& f : frames) {
     if (f.type != service::FrameType::kReply) continue;

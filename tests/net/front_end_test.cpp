@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "net/client.hpp"
-#include "service/sharding.hpp"
 #include "service/streaming.hpp"
 #include "service/wire.hpp"
 #include "test_paths.hpp"
@@ -107,7 +106,7 @@ std::string unique_socket_path(const std::string& tag) {
 /// Runs a FrontEnd on its own thread; the test thread plays the clients.
 class TestServer {
  public:
-  TestServer(service::ShardedStreamingService& svc, FrontEndOptions options)
+  TestServer(service::StreamingService& svc, FrontEndOptions options)
       : front_end_(svc, std::move(options)),
         thread_([this] { stats_ = front_end_.run(); }) {}
 
@@ -136,7 +135,7 @@ class TestServer {
 };
 
 TEST(FrontEndTest, UnixAndTcpRoundTripWithStatPoll) {
-  service::ShardedStreamingService svc(fake_options(2), 2);
+  service::StreamingService svc(fake_options(2));
   svc.set_session_runner_for_test(fake_report);
   FrontEndOptions options;
   options.unix_path = unique_socket_path("roundtrip");
@@ -198,7 +197,7 @@ TEST(FrontEndTest, RepliesAreReleasedInAdmissionOrder) {
   // req-0 is held hostage while req-1/req-2 complete; their replies must
   // still come out 0, 1, 2.
   auto gate = std::make_shared<Gate>();
-  service::ShardedStreamingService svc(fake_options(3), 1);
+  service::StreamingService svc(fake_options(3));
   svc.set_session_runner_for_test([gate](const TuningRequest& r) {
     if (r.id == "req-0") gate->wait_inside();
     return fake_report(r);
@@ -237,7 +236,7 @@ TEST(FrontEndTest, RepliesAreReleasedInAdmissionOrder) {
 }
 
 TEST(FrontEndTest, ConnectionCapRejectsWithTypedError) {
-  service::ShardedStreamingService svc(fake_options(1), 1);
+  service::StreamingService svc(fake_options(1));
   svc.set_session_runner_for_test(fake_report);
   FrontEndOptions options;
   options.unix_path = unique_socket_path("conncap");
@@ -275,7 +274,7 @@ TEST(FrontEndTest, ConnectionCapRejectsWithTypedError) {
 
 TEST(FrontEndTest, InflightCapRejectsRequestsWithTypedError) {
   auto gate = std::make_shared<Gate>();
-  service::ShardedStreamingService svc(fake_options(2), 1);
+  service::StreamingService svc(fake_options(2));
   svc.set_session_runner_for_test([gate](const TuningRequest& r) {
     gate->wait_inside();
     return fake_report(r);
@@ -318,7 +317,7 @@ TEST(FrontEndTest, InflightCapRejectsRequestsWithTypedError) {
 }
 
 TEST(FrontEndTest, OversizedFrameGetsTypedErrorAndSparesOtherConns) {
-  service::ShardedStreamingService svc(fake_options(1), 1);
+  service::StreamingService svc(fake_options(1));
   svc.set_session_runner_for_test(fake_report);
   FrontEndOptions options;
   options.unix_path = unique_socket_path("oversize");
@@ -363,7 +362,7 @@ TEST(FrontEndTest, OversizedFrameGetsTypedErrorAndSparesOtherConns) {
 }
 
 TEST(FrontEndTest, MidstreamDisconnectDoesNotPoisonOtherConnections) {
-  service::ShardedStreamingService svc(fake_options(1), 1);
+  service::StreamingService svc(fake_options(1));
   svc.set_session_runner_for_test(fake_report);
   FrontEndOptions options;
   options.unix_path = unique_socket_path("midstream");
@@ -414,7 +413,7 @@ TEST(FrontEndTest, MidstreamDisconnectDoesNotPoisonOtherConnections) {
 }
 
 TEST(FrontEndTest, FlushBarrierAcksWithConnectionTele) {
-  service::ShardedStreamingService svc(fake_options(2), 1);
+  service::StreamingService svc(fake_options(2));
   svc.set_session_runner_for_test([](const TuningRequest& r) {
     service::SessionReport report = fake_report(r);
     report.new_transitions.emplace_back();  // gives the flush a merge
@@ -453,7 +452,7 @@ TEST(FrontEndTest, HalfCloseDuringFlushBarrierServesBufferedFrames) {
   // barrier are complete, so they must all be served once it lifts: no
   // truncation ERR, and the FLSH still gets its TELE ack.
   auto gate = std::make_shared<Gate>();
-  service::ShardedStreamingService svc(fake_options(2), 1);
+  service::StreamingService svc(fake_options(2));
   svc.set_session_runner_for_test([gate](const TuningRequest& r) {
     if (r.id == "slow") gate->wait_inside();
     return fake_report(r);
@@ -490,7 +489,7 @@ TEST(FrontEndTest, StreamEndingErrorFollowsAdmittedReplies) {
   // Corrupt framing ends the stream, but a request admitted before it is
   // still answered first: REP, then the ERR, then the tail.
   auto gate = std::make_shared<Gate>();
-  service::ShardedStreamingService svc(fake_options(2), 1);
+  service::StreamingService svc(fake_options(2));
   svc.set_session_runner_for_test([gate](const TuningRequest& r) {
     gate->wait_inside();
     return fake_report(r);
@@ -528,7 +527,7 @@ TEST(FrontEndTest, ServeStreamReturnsAtEndWhileInputStaysOpen) {
   // server to exit with its write end still open. serve_stream must
   // return at END instead of waiting for the input's EOF; the watchdog
   // closes the pipe only if it does not, so a regression fails, not hangs.
-  service::ShardedStreamingService svc(fake_options(2), 1);
+  service::StreamingService svc(fake_options(2));
   svc.set_session_runner_for_test(fake_report);
   int pipe_fds[2];
   ASSERT_EQ(::pipe(pipe_fds), 0);
@@ -576,7 +575,7 @@ TEST(FrontEndTest, BackToBackFlushBarriersBothAck) {
   // barrier re-parks the connection AFTER flush_waiters_ was reset; the
   // barrier must be re-evaluated, not left stranded in epoll_wait (this
   // test used to hang the loop forever).
-  service::ShardedStreamingService svc(fake_options(2), 1);
+  service::StreamingService svc(fake_options(2));
   svc.set_session_runner_for_test(fake_report);
   FrontEndOptions options;
   options.unix_path = unique_socket_path("flushflush");
@@ -607,7 +606,7 @@ TEST(FrontEndTest, FramesBufferedDuringBarrierAreServedAfterResume) {
   // rather than the decoder backlog (unbounded). They must all be served
   // once the barrier resolves and reads re-arm.
   auto gate = std::make_shared<Gate>();
-  service::ShardedStreamingService svc(fake_options(2), 1);
+  service::StreamingService svc(fake_options(2));
   svc.set_session_runner_for_test([gate](const TuningRequest& r) {
     if (r.id == "slow") gate->wait_inside();
     return fake_report(r);
@@ -644,7 +643,7 @@ TEST(FrontEndTest, AbandonedFlushBarrierUnblocksOtherConnections) {
   // (no waiters left) and resume everyone else's reads and buffered
   // frames even though no merge ran.
   auto gate = std::make_shared<Gate>();
-  service::ShardedStreamingService svc(fake_options(2), 1);
+  service::StreamingService svc(fake_options(2));
   svc.set_session_runner_for_test([gate](const TuningRequest& r) {
     if (r.id == "slow") gate->wait_inside();
     return fake_report(r);
@@ -692,7 +691,7 @@ TEST(FrontEndTest, AbandonedFlushBarrierUnblocksOtherConnections) {
 TEST(FrontEndTest, TcpHostnamesResolveViaGetaddrinfo) {
   // --tcp documents host:port; names (not just IPv4 literals) must bind
   // and connect. 'localhost' goes through getaddrinfo like any name.
-  service::ShardedStreamingService svc(fake_options(1), 1);
+  service::StreamingService svc(fake_options(1));
   svc.set_session_runner_for_test(fake_report);
   FrontEndOptions options;
   options.tcp_host = "localhost";
@@ -713,7 +712,7 @@ TEST(FrontEndTest, TcpHostnamesResolveViaGetaddrinfo) {
 
 TEST(FrontEndTest, GracefulDrainFlushesInFlightRepliesAndTails) {
   auto gate = std::make_shared<Gate>();
-  service::ShardedStreamingService svc(fake_options(2), 1);
+  service::StreamingService svc(fake_options(2));
   svc.set_session_runner_for_test([gate](const TuningRequest& r) {
     gate->wait_inside();
     return fake_report(r);
@@ -748,7 +747,7 @@ TEST(FrontEndTest, GracefulDrainFlushesInFlightRepliesAndTails) {
 
 TEST(FrontEndTest, DrainTimeoutForceClosesAndCountsStragglers) {
   auto gate = std::make_shared<Gate>();
-  service::ShardedStreamingService svc(fake_options(1), 1);
+  service::StreamingService svc(fake_options(1));
   svc.set_session_runner_for_test([gate](const TuningRequest& r) {
     gate->wait_inside();
     return fake_report(r);
@@ -774,7 +773,7 @@ TEST(FrontEndTest, DrainTimeoutForceClosesAndCountsStragglers) {
 }
 
 TEST(FrontEndTest, IdleConnectionsTimeOutWithTypedError) {
-  service::ShardedStreamingService svc(fake_options(1), 1);
+  service::StreamingService svc(fake_options(1));
   svc.set_session_runner_for_test(fake_report);
   FrontEndOptions options;
   options.unix_path = unique_socket_path("idle");
@@ -797,7 +796,7 @@ TEST(FrontEndTest, ServesHundredsOfConcurrentMixedConnections) {
   // The acceptance bar: >= 256 simultaneously open connections across
   // both transports, every one answered, zero silent drops.
   constexpr std::size_t kPerTransport = 128;
-  service::ShardedStreamingService svc(fake_options(2), 4);
+  service::StreamingService svc(fake_options(2));
   svc.set_session_runner_for_test(fake_report);
   FrontEndOptions options;
   options.unix_path = unique_socket_path("fanin");

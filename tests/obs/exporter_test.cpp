@@ -134,21 +134,18 @@ TEST(ObsExporterTest, HealthInstrumentsLandInTheRegistry) {
   MetricsRegistry registry;
   CallbackSpanSink sink([](const SpanRecord&) {});
   LogicalClock clock;
-  Tracer tracer(clock, {.sample_every = 2,
-                        .max_spans = 1,
+  Tracer tracer(clock, {.max_spans = 1,
                         .exporter = &sink,
                         .ring_capacity = 4,
                         .health = &registry});
-  const std::uint64_t a = tracer.begin_span("a");  // root #1: kept
+  const std::uint64_t a = tracer.begin_span("a");
   ASSERT_NE(a, 0u);
-  // A child while `a` is open trips the open-span cap (a second root
-  // would be sampled out instead, which does not count as a drop).
+  // A child while `a` is open trips the open-span cap.
   EXPECT_EQ(tracer.begin_span("b", a), 0u);
   tracer.end_span(a);
   tracer.flush_exporter();
 
-  bool saw_emitted = false, saw_dropped = false, saw_highwater = false,
-       saw_sample = false;
+  bool saw_emitted = false, saw_dropped = false, saw_highwater = false;
   for (const MetricSnapshot& snap : registry.snapshot(true)) {
     if (snap.name == "obs.spans.emitted") {
       saw_emitted = true;
@@ -161,16 +158,11 @@ TEST(ObsExporterTest, HealthInstrumentsLandInTheRegistry) {
     } else if (snap.name == "obs.spans.ring_highwater") {
       saw_highwater = true;
       EXPECT_FALSE(snap.deterministic);
-    } else if (snap.name == "obs.sample_every") {
-      saw_sample = true;
-      EXPECT_TRUE(snap.deterministic);
-      EXPECT_EQ(snap.mean, 2.0);
     }
   }
   EXPECT_TRUE(saw_emitted);
   EXPECT_TRUE(saw_dropped);
   EXPECT_TRUE(saw_highwater);
-  EXPECT_TRUE(saw_sample);
 }
 
 TEST(ObsExporterTest, ChromeTraceFileIsValidAtEveryFlushBoundary) {

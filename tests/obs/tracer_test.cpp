@@ -1,5 +1,5 @@
 // Tracer unit tests: parent/child structure, logical-clock determinism,
-// sampling and span-cap behavior, Chrome-trace structural validity.
+// span-cap behavior, Chrome-trace structural validity.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -74,30 +74,6 @@ TEST(ObsTracerTest, StructureSignatureIsInterleavingInvariant) {
   EXPECT_EQ(run(4), one);
   EXPECT_EQ(run(12), one);
   EXPECT_EQ(one, ">batch 1\nbatch>session 12\nsession>gp.fit 12\n");
-}
-
-TEST(ObsTracerTest, SamplingKeepsEveryNthRoot) {
-  LogicalClock clock;
-  Tracer tracer(clock, {.sample_every = 3});
-  std::size_t kept = 0;
-  for (int i = 0; i < 9; ++i) {
-    const std::uint64_t id = tracer.begin_span("root");
-    kept += id != 0 ? 1 : 0;
-    tracer.end_span(id);
-  }
-  EXPECT_EQ(kept, 3u);
-  EXPECT_EQ(tracer.span_count(), 3u);
-}
-
-TEST(ObsTracerTest, ChildrenOfKeptRootsSurviveSampling) {
-  LogicalClock clock;
-  Tracer tracer(clock, {.sample_every = 2});
-  const std::uint64_t root = tracer.begin_span("r");  // root #1: kept
-  ASSERT_NE(root, 0u);
-  const std::uint64_t child = tracer.begin_span("c", root);
-  EXPECT_NE(child, 0u);  // child of a kept root is never sampled out
-  tracer.end_span(child);
-  tracer.end_span(root);
 }
 
 TEST(ObsTracerTest, SpanCapDropsAndCounts) {

@@ -75,8 +75,8 @@ TEST(RetrievalIndexTest, NeighborsAscendByDistanceAndCapAtSize) {
 
 TEST(RetrievalIndexTest, TiesBreakOnInsertionOrder) {
   // Identical embeddings => identical distances; the contract pins the
-  // ordering to ascending entry index so every shard/thread/process ranks
-  // the same way.
+  // ordering to ascending entry index so every thread/process ranks the
+  // same way.
   ExperienceIndex index;
   for (std::uint64_t s = 0; s < 4; ++s) {
     index.add(entry_at(WorkloadType::kPageRank, 1000.0,

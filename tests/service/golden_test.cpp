@@ -28,7 +28,6 @@
 #include "net/server.hpp"
 #include "obs/timeseries.hpp"
 #include "retrieval/index.hpp"
-#include "service/sharding.hpp"
 #include "service/streaming.hpp"
 #include "service/wire.hpp"
 #include "sparksim/workloads.hpp"
@@ -160,7 +159,7 @@ std::string serve(const std::string& input, bool with_fake_runner,
   // bytes stay identical across numeric backends and host core counts.
   options.build_info = obs::BuildInfo{"golden", "pinned", false, 1};
   options.service.obs.series = series;
-  ShardedStreamingService svc(options, 1);
+  StreamingService svc(options);
   if (with_fake_runner) svc.set_session_runner_for_test(fake_session);
   if (with_warm_index) svc.set_warm_index(fake_index());
   std::istringstream in(input, std::ios::binary);

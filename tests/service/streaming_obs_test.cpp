@@ -17,7 +17,6 @@
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "service/jsonl.hpp"
-#include "service/sharding.hpp"
 #include "service/streaming.hpp"
 #include "service/wire.hpp"
 #include "sparksim/workloads.hpp"
@@ -251,7 +250,7 @@ TEST(StreamingObsTeleTest, FinalTeleCarriesBuildInfoAndStaysParseable) {
   // Golden-style pin: TELE build fields must be exactly what the options
   // injected, not whatever host this test runs on.
   options.build_info = obs::BuildInfo{"1.2.3-test", "pinned", false, 9};
-  ShardedStreamingService svc(options, 1);
+  StreamingService svc(options);
   svc.set_session_runner_for_test([](const TuningRequest& r) {
     SessionReport report;
     report.id = r.id;
@@ -307,7 +306,7 @@ std::pair<net::FrontEndStats, std::vector<Frame>> serve_fake(
   StreamingOptions options;
   options.service.threads = 1;
   options.build_info = obs::BuildInfo{"tele-test", "pinned", false, 1};
-  ShardedStreamingService svc(options, 1);
+  StreamingService svc(options);
   svc.set_session_runner_for_test([](const TuningRequest& r) {
     SessionReport report;
     report.id = r.id;

@@ -1,14 +1,18 @@
 // StreamingService behavior: streaming results match the batch path,
 // model epochs advance only on merging flushes, unknown models fail as
 // reports (never exceptions), multi-model routing lazily loads from the
-// registry and republishes on eviction, and a framed wire stream is
-// served end to end.
+// registry and republishes on eviction, completion callbacks deliver
+// every report exactly once, and a framed wire stream is served end to
+// end.
 #include "service/streaming.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <condition_variable>
 #include <filesystem>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,7 +21,6 @@
 #include "rl/replay_rdper.hpp"
 #include "service/checkpoint.hpp"
 #include "service/service.hpp"
-#include "service/sharding.hpp"
 #include "service/wire.hpp"
 #include "sparksim/hardware.hpp"
 #include "sparksim/workloads.hpp"
@@ -275,9 +278,56 @@ TEST(StreamingTest, WaitCompletedReturnsNulloptWhenIdle) {
   EXPECT_FALSE(svc.poll_completed().has_value());
 }
 
+TEST(StreamingTest, CallbacksDeliverEveryReportAndIdleSettles) {
+  StreamingService svc(small_streaming_options(2));
+  svc.set_session_runner_for_test([](const TuningRequest& r) {
+    SessionReport report;
+    report.id = r.id;
+    report.workload = r.workload;
+    report.cluster = r.cluster;
+    report.ok = true;
+    report.report.default_time = 100.0;
+    report.report.best_time = 80.0;
+    return report;
+  });
+  EXPECT_TRUE(svc.idle());
+
+  constexpr std::size_t kRequests = 24;
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::vector<StreamReport> reports;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    TuningRequest request;
+    request.id = "req-" + std::to_string(i);
+    request.workload = "TS-D1";
+    request.model = "model-" + std::to_string(i % 6);
+    svc.submit(request, [&](StreamReport r) {
+      std::scoped_lock lock(mutex);
+      reports.push_back(std::move(r));
+      if (reports.size() == kRequests) cv.notify_all();
+    });
+  }
+  {
+    std::unique_lock lock(mutex);
+    cv.wait(lock, [&] { return reports.size() >= kRequests; });
+  }
+  ASSERT_EQ(reports.size(), kRequests);
+  std::set<std::string> ids;
+  for (const auto& report : reports) {
+    EXPECT_TRUE(report.session.ok);
+    ids.insert(report.session.id);
+  }
+  EXPECT_EQ(ids.size(), kRequests) << "every request answered exactly once";
+
+  // The callback fires after the in-flight decrement, so once the last
+  // one has arrived the service must (eventually) read as idle.
+  while (!svc.idle()) {
+  }
+  EXPECT_EQ(svc.in_flight(), 0u);
+}
+
 TEST(StreamingTest, ServeFrameStreamEndToEnd) {
-  ShardedStreamingService svc(small_streaming_options(2, /*master_steps=*/1),
-                              1);
+  StreamingService svc(small_streaming_options(2, /*master_steps=*/1));
   svc.train_model("default",
                   sparksim::make_workload(WorkloadType::kTeraSort, 3.2), 40);
 

@@ -17,7 +17,6 @@
 #include "net/server.hpp"
 #include "retrieval/index.hpp"
 #include "service/checkpoint.hpp"
-#include "service/sharding.hpp"
 #include "service/streaming.hpp"
 #include "service/wire.hpp"
 #include "sparksim/workloads.hpp"
@@ -127,7 +126,7 @@ TEST(WireFuzzTest, ServeDriverSurvivesMutatedStreams) {
     const std::string mutant =
         fuzz::make_mutant(base, kCorpusSeed + 1, i * 7 + 3, &desc);
 
-    ShardedStreamingService svc(StreamingOptions{}, 1);
+    StreamingService svc(StreamingOptions{});
     svc.set_session_runner_for_test([](const TuningRequest& r) {
       SessionReport report;
       report.id = r.id;

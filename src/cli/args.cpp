@@ -54,8 +54,9 @@ ParsedArgs parse_args(const std::vector<std::string>& argv) {
                                     value + "'");
       }
       out.assignments.emplace_back(value.substr(0, eq), value.substr(eq + 1));
-    } else {
-      out.flags[name] = value;
+    } else if (!out.flags.emplace(name, value).second) {
+      // A repeated flag would otherwise keep only its last value.
+      throw std::invalid_argument("flag --" + name + " given more than once");
     }
   }
   return out;

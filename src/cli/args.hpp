@@ -25,9 +25,10 @@ struct ParsedArgs {
 
 /// Parses argv[1..): the first token is the command, an optional second
 /// bare token the subcommand ("index build"); "--set k=v" pairs are
-/// collected into `assignments`; any other "--name value" into `flags`.
-/// Throws std::invalid_argument on a malformed flag (missing value,
-/// missing '=' in --set) or a third positional token.
+/// collected into `assignments` (--set may repeat); any other
+/// "--name value" into `flags`. Throws std::invalid_argument on a
+/// malformed flag (missing value, missing '=' in --set), a flag other than
+/// --set given twice, or a third positional token.
 [[nodiscard]] ParsedArgs parse_args(const std::vector<std::string>& argv);
 
 }  // namespace deepcat::cli

@@ -180,19 +180,112 @@ void adam_update_clipped_scalar(const AdamTensor* tensors, std::size_t count,
   }
 }
 
+// ---- Dense-layer epilogues ----------------------------------------------
+// What the GEMMs do around their products so that no separate pass runs
+// over a layer's output: the start value (C itself, a bias row or +0.0),
+// the ReLU and ReLU-gradient masks at the store, and the bias-gradient
+// column sums. Scalar formulas here; the vector tiers apply the same ones
+// lane by lane.
+
+// The ReLU at a store: x > 0 ? x : +0.0, so -0.0 and NaN map to +0.0. The
+// vector tiers' max(x, +0.0) returns its second operand for NaN and for
+// either zero, which is the same formula.
+inline double relu_of(double x) noexcept { return x > 0.0 ? x : 0.0; }
+
+// The ReLU gradient through the activation OUTPUT y: y <= 0 ? +0.0 : g, so
+// a NaN y keeps g. The decision is an all-ones/all-zeros mask ANDed onto
+// g's bits, branch-free (hidden activations have random signs, so a branch
+// would mispredict about half the time); the vector tiers' NLE_UQ compare
+// builds the same mask.
+inline double relu_grad_of(double g, double y) noexcept {
+  const std::uint64_t keep = 0 - static_cast<std::uint64_t>(!(y <= 0.0));
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(g) & keep);
+}
+
+// The output read of an accumulating kernel: the stored value, or +0.0
+// under Store::kSet (the zero-filled output it stands for).
+template <bool kSet>
+inline double c_in(const double* p) noexcept {
+  if constexpr (kSet) {
+    return 0.0;
+  } else {
+    return *p;
+  }
+}
+
+// p + off for a nullable pointer (gemm_nt's ReLU mask, gemm_tn's sums).
+template <typename T>
+inline T* at_offset(T* p, std::size_t off) noexcept {
+  return p == nullptr ? nullptr : p + off;
+}
+
+// gemm_nt's store of one output: C (+)= s, then, given the mask row y
+// (laid out like C's row), the ReLU gradient of the layer below.
+template <bool kSet>
+inline void nt_store(double* crow, const double* yrow, std::size_t j,
+                     double s) noexcept {
+  const double v = c_in<kSet>(crow + j) + s;
+  crow[j] = yrow == nullptr ? v : relu_grad_of(v, yrow[j]);
+}
+
+// The epilogue of the broadcast GEMMs (gemm_nn, gemm_tn). Output (i, j)
+// starts from start[i * sld + j] — C itself (sld = ldc) or gemm_nn's bias
+// row (sld = 0) — or from +0.0 when start is null (gemm_tn's
+// Store::kSet), and is stored through relu_of when relu is set. gemm_tn's
+// column sums follow C's store: added onto their output when start is
+// set, written over it when start is null.
+struct Epilogue {
+  const double* start;
+  std::size_t sld;
+  bool relu;
+
+  // This epilogue for the block whose first output is (i, j).
+  [[nodiscard]] Epilogue at(std::size_t i, std::size_t j) const noexcept {
+    return {start == nullptr ? nullptr : start + i * sld + j, sld, relu};
+  }
+  [[nodiscard]] double in(std::size_t r, std::size_t q) const noexcept {
+    return start == nullptr ? 0.0 : start[r * sld + q];
+  }
+  [[nodiscard]] double out(double x) const noexcept {
+    return relu ? relu_of(x) : x;
+  }
+};
+
+// sums[j] (+)= column j of a (k x n) B, summed from +0.0 in ascending rows
+// — the bias-gradient column sum. The vector tiers fold it into gemm_tn's
+// first row block and call this only for the columns their tiles leave;
+// the scalar tier sums every column here.
+void col_sums_scalar(std::size_t k, std::size_t n, const double* b,
+                     std::size_t ldb, double* sums, bool set) noexcept {
+  for (std::size_t j = 0; j < n; ++j) {
+    double s = 0.0;
+    for (std::size_t p = 0; p < k; ++p) s += b[p * ldb + j];
+    sums[j] = (set ? 0.0 : sums[j]) + s;
+  }
+}
+
 void gemm_nn_scalar(std::size_t m, std::size_t n, std::size_t k,
                     const double* a, std::size_t lda, const double* b,
-                    std::size_t ldb, double* c, std::size_t ldc) noexcept {
+                    std::size_t ldb, double* c, std::size_t ldc,
+                    const Epilogue& e) noexcept {
   // ikj order streams B and C rows; the zero-skip makes post-ReLU
-  // (sparse) left operands cheap.
+  // (sparse) left operands cheap. Each C row is seeded, accumulated and
+  // stored through the epilogue while it sits in L1.
   for (std::size_t i = 0; i < m; ++i) {
     double* crow = c + i * ldc;
     const double* arow = a + i * lda;
+    const Epilogue row = e.at(i, 0);
+    if (row.start != crow) {
+      for (std::size_t j = 0; j < n; ++j) crow[j] = row.in(0, j);
+    }
     for (std::size_t p = 0; p < k; ++p) {
       const double aip = arow[p];
       if (aip == 0.0) continue;
       const double* brow = b + p * ldb;
       for (std::size_t j = 0; j < n; ++j) crow[j] += aip * brow[j];
+    }
+    if (e.relu) {
+      for (std::size_t j = 0; j < n; ++j) crow[j] = relu_of(crow[j]);
     }
   }
 }
@@ -212,38 +305,18 @@ void gemm_tn_scalar(std::size_t m, std::size_t n, std::size_t k,
   }
 }
 
+template <bool kSet>
 void gemm_nt_scalar(std::size_t m, std::size_t n, std::size_t k,
                     const double* a, std::size_t lda, const double* b,
-                    std::size_t ldb, double* c, std::size_t ldc) noexcept {
+                    std::size_t ldb, double* c, std::size_t ldc,
+                    const double* y) noexcept {
   for (std::size_t i = 0; i < m; ++i) {
     const double* arow = a + i * lda;
+    double* crow = c + i * ldc;
+    const double* yrow = at_offset(y, i * ldc);
     for (std::size_t j = 0; j < n; ++j) {
-      c[i * ldc + j] += dot_scalar(arow, b + j * ldb, k);
+      nt_store<kSet>(crow, yrow, j, dot_scalar(arow, b + j * ldb, k));
     }
-  }
-}
-
-void relu_scalar(double* x, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) x[i] = x[i] > 0.0 ? x[i] : 0.0;
-}
-
-// The keep/drop decision is an all-ones/all-zeros mask ANDed onto g's bits,
-// so the scalar tier is branch-free too.
-void relu_grad_scalar(const double* g, const double* y, double* out,
-                      std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t keep = 0 - static_cast<std::uint64_t>(!(y[i] <= 0.0));
-    out[i] = std::bit_cast<double>(std::bit_cast<std::uint64_t>(g[i]) & keep);
-  }
-}
-
-template <bool kSet>
-void col_sums_add_scalar(std::size_t rows, std::size_t cols, const double* a,
-                         std::size_t lda, double* out) noexcept {
-  for (std::size_t j = 0; j < cols; ++j) {
-    double s = 0.0;
-    for (std::size_t r = 0; r < rows; ++r) s += a[r * lda + j];
-    out[j] = (kSet ? 0.0 : out[j]) + s;
   }
 }
 
@@ -404,17 +477,6 @@ DEEPCAT_TARGET_AVX2 inline __m256d rounded(__m256d v) noexcept {
   return v;
 }
 
-// The output read of an accumulating kernel: the stored value, or +0.0
-// under Store::kSet (the zero-filled output it stands for).
-template <bool kSet>
-inline double c_in(const double* p) noexcept {
-  if constexpr (kSet) {
-    return 0.0;
-  } else {
-    return *p;
-  }
-}
-
 template <bool kSet>
 DEEPCAT_TARGET_AVX2 inline __m256d c_in_avx2(const double* p) noexcept {
   if constexpr (kSet) {
@@ -424,20 +486,36 @@ DEEPCAT_TARGET_AVX2 inline __m256d c_in_avx2(const double* p) noexcept {
   }
 }
 
-// C(r) (+)= lane r of `s` for four rows ldc apart: the C += s epilogue of
-// four per-row chains.
-template <bool kSet>
+// A vector store through the ReLU when `relu` is set.
+DEEPCAT_TARGET_AVX2 inline void store_avx2(double* p, __m256d v,
+                                           bool relu) noexcept {
+  _mm256_storeu_pd(p, relu ? _mm256_max_pd(v, _mm256_setzero_pd()) : v);
+}
+
+// The ReLU-gradient mask of four outputs against y (simd.hpp: NLE_UQ is
+// !(y <= 0) with NaN true, and an all-zeros lane ANDs to +0.0).
+DEEPCAT_TARGET_AVX2 inline __m256d relu_grad_avx2(__m256d g,
+                                                  const double* y) noexcept {
+  const __m256d keep =
+      _mm256_cmp_pd(_mm256_loadu_pd(y), _mm256_setzero_pd(), _CMP_NLE_UQ);
+  return _mm256_and_pd(keep, g);
+}
+
+// C(r) = epilogue(start(r) + lane r of s) for four rows ldc apart: the
+// store of four per-row chains that began at +0.0.
 DEEPCAT_TARGET_AVX2 inline void add_rows_avx2(__m256d s, double* c,
-                                              std::size_t ldc) noexcept {
-  if (ldc == 1) {
-    _mm256_storeu_pd(c, _mm256_add_pd(c_in_avx2<kSet>(c), s));
+                                              std::size_t ldc,
+                                              const Epilogue& e) noexcept {
+  if (ldc == 1 && e.sld <= 1) {
+    const __m256d in = e.start == nullptr ? _mm256_setzero_pd()
+                       : e.sld == 0       ? _mm256_set1_pd(*e.start)
+                                          : _mm256_loadu_pd(e.start);
+    store_avx2(c, _mm256_add_pd(in, s), e.relu);
     return;
   }
   alignas(32) double lane[4];
   _mm256_store_pd(lane, s);
-  for (std::size_t r = 0; r < 4; ++r) {
-    c[r * ldc] = c_in<kSet>(c + r * ldc) + lane[r];
-  }
+  for (std::size_t r = 0; r < 4; ++r) c[r * ldc] = e.out(e.in(r, 0) + lane[r]);
 }
 
 template <bool kUnitBc1>
@@ -536,17 +614,18 @@ DEEPCAT_TARGET_AVX2 void soft_update_avx2(double* dst, const double* src,
   }
 }
 
-// C(m x 1) += A(m x k) b for a row-major A — the n == 1 case. Lane r of an
-// accumulator is row r's FMA chain from +0.0 in ascending p, added to C at
-// the end: the arithmetic of the leftover-column loop below. 4x4 blocks of
-// A are transposed in registers so one FMA advances four rows' chains; G
-// accumulators (4G rows) are in flight at once.
+// C(m x 1) = epilogue(start + A(m x k) b) for a row-major A — the n == 1
+// case. Lane r of an accumulator is row r's FMA chain from +0.0 in
+// ascending p, added to the start value at the store: the arithmetic of
+// the leftover-column chains. 4x4 blocks of A are transposed in registers
+// so one FMA advances four rows' chains; G accumulators (4G rows) are in
+// flight at once.
 template <std::size_t G>
 DEEPCAT_TARGET_AVX2 void gemm_nn_n1_rows_avx2(std::size_t k, const double* a,
                                               std::size_t lda,
                                               const double* b, std::size_t ldb,
-                                              double* c,
-                                              std::size_t ldc) noexcept {
+                                              double* c, std::size_t ldc,
+                                              const Epilogue& e) noexcept {
   __m256d acc[G];
 #pragma GCC unroll 4
   for (std::size_t g = 0; g < G; ++g) acc[g] = _mm256_setzero_pd();
@@ -590,171 +669,41 @@ DEEPCAT_TARGET_AVX2 void gemm_nn_n1_rows_avx2(std::size_t k, const double* a,
   }
 #pragma GCC unroll 4
   for (std::size_t g = 0; g < G; ++g) {
-    add_rows_avx2<false>(acc[g], c + 4 * g * ldc, ldc);
+    add_rows_avx2(acc[g], c + 4 * g * ldc, ldc, e.at(4 * g, 0));
   }
 }
 
 DEEPCAT_TARGET_AVX2 void gemm_nn_n1_avx2(std::size_t m, std::size_t k,
                                          const double* a, std::size_t lda,
                                          const double* b, std::size_t ldb,
-                                         double* c, std::size_t ldc) noexcept {
+                                         double* c, std::size_t ldc,
+                                         const Epilogue& e) noexcept {
   std::size_t i = 0;
   for (; i + 16 <= m; i += 16) {
-    gemm_nn_n1_rows_avx2<4>(k, a + i * lda, lda, b, ldb, c + i * ldc, ldc);
+    gemm_nn_n1_rows_avx2<4>(k, a + i * lda, lda, b, ldb, c + i * ldc, ldc,
+                            e.at(i, 0));
   }
   for (; i + 4 <= m; i += 4) {
-    gemm_nn_n1_rows_avx2<1>(k, a + i * lda, lda, b, ldb, c + i * ldc, ldc);
+    gemm_nn_n1_rows_avx2<1>(k, a + i * lda, lda, b, ldb, c + i * ldc, ldc,
+                            e.at(i, 0));
   }
   for (; i < m; ++i) {
     const double* arow = a + i * lda;
     double s = 0.0;
     for (std::size_t p = 0; p < k; ++p) s = std::fma(arow[p], b[p * ldb], s);
-    c[i * ldc] += s;
+    c[i * ldc] = e.out(e.in(i, 0) + s);
   }
 }
 
-// 4x8 register-blocked micro-kernel: 8 accumulator registers stay resident
-// across the whole k loop; A elements are broadcast, B rows are streamed.
-DEEPCAT_TARGET_AVX2 void gemm_nn_avx2(std::size_t m, std::size_t n,
-                                      std::size_t k, const double* a,
-                                      std::size_t lda, const double* b,
-                                      std::size_t ldb, double* c,
-                                      std::size_t ldc) noexcept {
-  if (n == 1) {
-    gemm_nn_n1_avx2(m, k, a, lda, b, ldb, c, ldc);
-    return;
-  }
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const double* a0 = a + (i + 0) * lda;
-    const double* a1 = a + (i + 1) * lda;
-    const double* a2 = a + (i + 2) * lda;
-    const double* a3 = a + (i + 3) * lda;
-    std::size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      __m256d c00 = _mm256_loadu_pd(c + (i + 0) * ldc + j);
-      __m256d c01 = _mm256_loadu_pd(c + (i + 0) * ldc + j + 4);
-      __m256d c10 = _mm256_loadu_pd(c + (i + 1) * ldc + j);
-      __m256d c11 = _mm256_loadu_pd(c + (i + 1) * ldc + j + 4);
-      __m256d c20 = _mm256_loadu_pd(c + (i + 2) * ldc + j);
-      __m256d c21 = _mm256_loadu_pd(c + (i + 2) * ldc + j + 4);
-      __m256d c30 = _mm256_loadu_pd(c + (i + 3) * ldc + j);
-      __m256d c31 = _mm256_loadu_pd(c + (i + 3) * ldc + j + 4);
-      for (std::size_t p = 0; p < k; ++p) {
-        const double* brow = b + p * ldb + j;
-        const __m256d b0 = _mm256_loadu_pd(brow);
-        const __m256d b1 = _mm256_loadu_pd(brow + 4);
-        __m256d av = _mm256_set1_pd(a0[p]);
-        c00 = _mm256_fmadd_pd(av, b0, c00);
-        c01 = _mm256_fmadd_pd(av, b1, c01);
-        av = _mm256_set1_pd(a1[p]);
-        c10 = _mm256_fmadd_pd(av, b0, c10);
-        c11 = _mm256_fmadd_pd(av, b1, c11);
-        av = _mm256_set1_pd(a2[p]);
-        c20 = _mm256_fmadd_pd(av, b0, c20);
-        c21 = _mm256_fmadd_pd(av, b1, c21);
-        av = _mm256_set1_pd(a3[p]);
-        c30 = _mm256_fmadd_pd(av, b0, c30);
-        c31 = _mm256_fmadd_pd(av, b1, c31);
-      }
-      _mm256_storeu_pd(c + (i + 0) * ldc + j, c00);
-      _mm256_storeu_pd(c + (i + 0) * ldc + j + 4, c01);
-      _mm256_storeu_pd(c + (i + 1) * ldc + j, c10);
-      _mm256_storeu_pd(c + (i + 1) * ldc + j + 4, c11);
-      _mm256_storeu_pd(c + (i + 2) * ldc + j, c20);
-      _mm256_storeu_pd(c + (i + 2) * ldc + j + 4, c21);
-      _mm256_storeu_pd(c + (i + 3) * ldc + j, c30);
-      _mm256_storeu_pd(c + (i + 3) * ldc + j + 4, c31);
-    }
-    for (; j + 4 <= n; j += 4) {
-      __m256d c0 = _mm256_loadu_pd(c + (i + 0) * ldc + j);
-      __m256d c1 = _mm256_loadu_pd(c + (i + 1) * ldc + j);
-      __m256d c2 = _mm256_loadu_pd(c + (i + 2) * ldc + j);
-      __m256d c3 = _mm256_loadu_pd(c + (i + 3) * ldc + j);
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m256d bv = _mm256_loadu_pd(b + p * ldb + j);
-        c0 = _mm256_fmadd_pd(_mm256_set1_pd(a0[p]), bv, c0);
-        c1 = _mm256_fmadd_pd(_mm256_set1_pd(a1[p]), bv, c1);
-        c2 = _mm256_fmadd_pd(_mm256_set1_pd(a2[p]), bv, c2);
-        c3 = _mm256_fmadd_pd(_mm256_set1_pd(a3[p]), bv, c3);
-      }
-      _mm256_storeu_pd(c + (i + 0) * ldc + j, c0);
-      _mm256_storeu_pd(c + (i + 1) * ldc + j, c1);
-      _mm256_storeu_pd(c + (i + 2) * ldc + j, c2);
-      _mm256_storeu_pd(c + (i + 3) * ldc + j, c3);
-    }
-    // Leftover columns: four independent per-row chains advance together,
-    // so the FMA latency overlaps (each chain's order is unchanged).
-    for (; j < n; ++j) {
-      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-      for (std::size_t p = 0; p < k; ++p) {
-        const double bv = b[p * ldb + j];
-        s0 = std::fma(a0[p], bv, s0);
-        s1 = std::fma(a1[p], bv, s1);
-        s2 = std::fma(a2[p], bv, s2);
-        s3 = std::fma(a3[p], bv, s3);
-      }
-      c[(i + 0) * ldc + j] += s0;
-      c[(i + 1) * ldc + j] += s1;
-      c[(i + 2) * ldc + j] += s2;
-      c[(i + 3) * ldc + j] += s3;
-    }
-  }
-  for (; i < m; ++i) {
-    const double* arow = a + i * lda;
-    double* crow = c + i * ldc;
-    std::size_t j = 0;
-    // A single row (the Twin-Q screen, act) has no neighbouring rows to
-    // interleave, so eight accumulators over 32 columns hide the FMA
-    // latency that two cannot; each column keeps its chain from C.
-    for (; j + 32 <= n; j += 32) {
-      __m256d acc[8];
-#pragma GCC unroll 8
-      for (std::size_t q = 0; q < 8; ++q) {
-        acc[q] = _mm256_loadu_pd(crow + j + 4 * q);
-      }
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m256d av = _mm256_set1_pd(arow[p]);
-        const double* brow = b + p * ldb + j;
-#pragma GCC unroll 8
-        for (std::size_t q = 0; q < 8; ++q) {
-          acc[q] = _mm256_fmadd_pd(av, _mm256_loadu_pd(brow + 4 * q), acc[q]);
-        }
-      }
-#pragma GCC unroll 8
-      for (std::size_t q = 0; q < 8; ++q) {
-        _mm256_storeu_pd(crow + j + 4 * q, acc[q]);
-      }
-    }
-    for (; j + 8 <= n; j += 8) {
-      __m256d c0 = _mm256_loadu_pd(crow + j);
-      __m256d c1 = _mm256_loadu_pd(crow + j + 4);
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m256d av = _mm256_set1_pd(arow[p]);
-        c0 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b + p * ldb + j), c0);
-        c1 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b + p * ldb + j + 4), c1);
-      }
-      _mm256_storeu_pd(crow + j, c0);
-      _mm256_storeu_pd(crow + j + 4, c1);
-    }
-    for (; j < n; ++j) {
-      double s = 0.0;
-      for (std::size_t p = 0; p < k; ++p) {
-        s = std::fma(arow[p], b[p * ldb + j], s);
-      }
-      crow[j] += s;
-    }
-  }
-}
-
-// C(m x 1) (+)= A^T b for a (k x m) A — the n == 1 case. Column p of A^T is
-// row p of A, contiguous across output rows, so lane r of an accumulator
-// is row r's FMA chain from +0.0 in ascending p with plain vector loads.
-template <bool kSet>
+// C(m x 1) = epilogue(start + A^T b) for a (k x m) A — gemm_tn's n == 1
+// case. Column p of A^T is row p of A, contiguous across output rows, so
+// lane r of an accumulator is row r's FMA chain from +0.0 in ascending p
+// with plain vector loads.
 DEEPCAT_TARGET_AVX2 void gemm_tn_n1_avx2(std::size_t m, std::size_t k,
                                          const double* a, std::size_t lda,
                                          const double* b, std::size_t ldb,
-                                         double* c, std::size_t ldc) noexcept {
+                                         double* c, std::size_t ldc,
+                                         const Epilogue& e) noexcept {
   std::size_t i = 0;
   for (; i + 32 <= m; i += 32) {
     __m256d acc[8];
@@ -770,7 +719,7 @@ DEEPCAT_TARGET_AVX2 void gemm_tn_n1_avx2(std::size_t m, std::size_t k,
     }
 #pragma GCC unroll 8
     for (std::size_t q = 0; q < 8; ++q) {
-      add_rows_avx2<kSet>(acc[q], c + (i + 4 * q) * ldc, ldc);
+      add_rows_avx2(acc[q], c + (i + 4 * q) * ldc, ldc, e.at(i + 4 * q, 0));
     }
   }
   for (; i + 4 <= m; i += 4) {
@@ -779,116 +728,198 @@ DEEPCAT_TARGET_AVX2 void gemm_tn_n1_avx2(std::size_t m, std::size_t k,
       acc = _mm256_fmadd_pd(_mm256_loadu_pd(a + p * lda + i),
                             _mm256_set1_pd(b[p * ldb]), acc);
     }
-    add_rows_avx2<kSet>(acc, c + i * ldc, ldc);
+    add_rows_avx2(acc, c + i * ldc, ldc, e.at(i, 0));
   }
   for (; i < m; ++i) {
     double s = 0.0;
     for (std::size_t p = 0; p < k; ++p) {
       s = std::fma(a[p * lda + i], b[p * ldb], s);
     }
-    c[i * ldc] = c_in<kSet>(c + i * ldc) + s;
+    c[i * ldc] = e.out(e.in(i, 0) + s);
   }
 }
 
-// Same 4x8 block shape as gemm_nn; only the A access changes (column i of
-// the stored (k x m) A, i.e. strided broadcasts).
-template <bool kSet>
-DEEPCAT_TARGET_AVX2 void gemm_tn_avx2(std::size_t m, std::size_t n,
+// The output columns [j, n) that no register tile covers, for R rows of
+// the broadcast GEMMs: R per-row FMA chains from +0.0 in ascending p
+// advance together, so the FMA latency overlaps (each chain's order is
+// unchanged), then C = epilogue(start + s). A's element (r, p) is
+// a[r * ars + p * acs]. The avx512 tier shares it.
+template <std::size_t R>
+DEEPCAT_TARGET_AVX2 inline void fma_chains(std::size_t j, std::size_t n,
+                                           std::size_t k, const double* a,
+                                           std::size_t ars, std::size_t acs,
+                                           const double* b, std::size_t ldb,
+                                           double* c, std::size_t ldc,
+                                           const Epilogue& e) noexcept {
+  for (; j < n; ++j) {
+    double s[R] = {};
+    for (std::size_t p = 0; p < k; ++p) {
+      const double bv = b[p * ldb + j];
+#pragma GCC unroll 4
+      for (std::size_t r = 0; r < R; ++r) {
+        s[r] = std::fma(a[r * ars + p * acs], bv, s[r]);
+      }
+    }
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < R; ++r) {
+      c[r * ldc + j] = e.out(e.in(r, j) + s[r]);
+    }
+  }
+}
+
+// One R-row x 4V-column register tile of the broadcast GEMMs: each output
+// is one FMA chain from its start value in ascending p, stored through the
+// epilogue; A's element (r, p) is a[r * ars + p * acs]. With kSums, B's
+// rows are also added up per column from +0.0 in ascending p and stored
+// into sums like C (the bias-gradient column sums of gemm_tn).
+template <std::size_t R, std::size_t V, bool kSums>
+DEEPCAT_TARGET_AVX2 inline void tile_avx2_impl(
+    std::size_t k, const double* a, std::size_t ars, std::size_t acs,
+    const double* b, std::size_t ldb, double* c, std::size_t ldc,
+    const Epilogue& e, double* sums) noexcept {
+  __m256d acc[R][V];
+  __m256d sum[V];
+#pragma GCC unroll 8
+  for (std::size_t v = 0; v < V; ++v) {
+    sum[v] = _mm256_setzero_pd();
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < R; ++r) {
+      acc[r][v] = e.start == nullptr
+                      ? _mm256_setzero_pd()
+                      : _mm256_loadu_pd(e.start + r * e.sld + 4 * v);
+    }
+  }
+  for (std::size_t p = 0; p < k; ++p) {
+    const double* brow = b + p * ldb;
+    const double* ap = a + p * acs;
+    __m256d bv[V];
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < V; ++v) {
+      bv[v] = _mm256_loadu_pd(brow + 4 * v);
+      if constexpr (kSums) sum[v] = _mm256_add_pd(sum[v], bv[v]);
+    }
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < R; ++r) {
+      const __m256d av = _mm256_set1_pd(ap[r * ars]);
+#pragma GCC unroll 8
+      for (std::size_t v = 0; v < V; ++v) {
+        acc[r][v] = _mm256_fmadd_pd(av, bv[v], acc[r][v]);
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < V; ++v) {
+      store_avx2(c + r * ldc + 4 * v, acc[r][v], e.relu);
+    }
+  }
+  if constexpr (kSums) {
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < V; ++v) {
+      const __m256d in = e.start == nullptr ? _mm256_setzero_pd()
+                                            : _mm256_loadu_pd(sums + 4 * v);
+      _mm256_storeu_pd(sums + 4 * v, _mm256_add_pd(in, sum[v]));
+    }
+  }
+}
+
+template <std::size_t R, std::size_t V>
+DEEPCAT_TARGET_AVX2 inline void tile_avx2(std::size_t k, const double* a,
+                                          std::size_t ars, std::size_t acs,
+                                          const double* b, std::size_t ldb,
+                                          double* c, std::size_t ldc,
+                                          const Epilogue& e,
+                                          double* sums) noexcept {
+  if (sums == nullptr) {
+    tile_avx2_impl<R, V, false>(k, a, ars, acs, b, ldb, c, ldc, e, nullptr);
+  } else {
+    tile_avx2_impl<R, V, true>(k, a, ars, acs, b, ldb, c, ldc, e, sums);
+  }
+}
+
+// gemm_nn (nn) and gemm_tn at n > 1; A's element (i, p) is a[i * ars +
+// p * acs], so gemm_nn passes (lda, 1) and gemm_tn (1, lda). 4x8 tiles,
+// then gemm_nn's 4x4 tiles, then chains for the leftover columns; rows
+// past the last 4-row block take 1-row tiles (32 wide for gemm_nn, then
+// 8 wide) and chains. Row block 0's tiles also sum B's columns into `sums`
+// (null: none); returns how many leading columns they summed.
+DEEPCAT_TARGET_AVX2 std::size_t gemm_bcast_avx2(
+    bool nn, std::size_t m, std::size_t n, std::size_t k, const double* a,
+    std::size_t ars, std::size_t acs, const double* b, std::size_t ldb,
+    double* c, std::size_t ldc, const Epilogue& e, double* sums) noexcept {
+  std::size_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    const double* ai = a + i * ars;
+    double* ci = c + i * ldc;
+    double* si = i == 0 ? sums : nullptr;
+    std::size_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+      tile_avx2<4, 2>(k, ai, ars, acs, b + j, ldb, ci + j, ldc, e.at(i, j),
+                      at_offset(si, j));
+    }
+    for (; nn && j + 4 <= n; j += 4) {
+      tile_avx2<4, 1>(k, ai, ars, acs, b + j, ldb, ci + j, ldc, e.at(i, j),
+                      nullptr);
+    }
+    fma_chains<4>(j, n, k, ai, ars, acs, b, ldb, ci, ldc, e.at(i, 0));
+  }
+  for (; i < m; ++i) {
+    const double* ai = a + i * ars;
+    double* ci = c + i * ldc;
+    double* si = i == 0 ? sums : nullptr;
+    std::size_t j = 0;
+    // A single row (the Twin-Q screen, act) has no neighbouring rows to
+    // interleave, so gemm_nn keeps eight accumulators over 32 columns in
+    // flight to hide the FMA latency that two cannot.
+    for (; nn && j + 32 <= n; j += 32) {
+      tile_avx2<1, 8>(k, ai, ars, acs, b + j, ldb, ci + j, ldc, e.at(i, j),
+                      nullptr);
+    }
+    for (; j + 8 <= n; j += 8) {
+      tile_avx2<1, 2>(k, ai, ars, acs, b + j, ldb, ci + j, ldc, e.at(i, j),
+                      at_offset(si, j));
+    }
+    fma_chains<1>(j, n, k, ai, ars, acs, b, ldb, ci, ldc, e.at(i, 0));
+  }
+  return m == 0 ? 0 : n - n % 8;
+}
+
+DEEPCAT_TARGET_AVX2 void gemm_nn_avx2(std::size_t m, std::size_t n,
                                       std::size_t k, const double* a,
                                       std::size_t lda, const double* b,
                                       std::size_t ldb, double* c,
-                                      std::size_t ldc) noexcept {
+                                      std::size_t ldc,
+                                      const Epilogue& e) noexcept {
   if (n == 1) {
-    gemm_tn_n1_avx2<kSet>(m, k, a, lda, b, ldb, c, ldc);
+    gemm_nn_n1_avx2(m, k, a, lda, b, ldb, c, ldc, e);
     return;
   }
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    std::size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      __m256d c00 = c_in_avx2<kSet>(c + (i + 0) * ldc + j);
-      __m256d c01 = c_in_avx2<kSet>(c + (i + 0) * ldc + j + 4);
-      __m256d c10 = c_in_avx2<kSet>(c + (i + 1) * ldc + j);
-      __m256d c11 = c_in_avx2<kSet>(c + (i + 1) * ldc + j + 4);
-      __m256d c20 = c_in_avx2<kSet>(c + (i + 2) * ldc + j);
-      __m256d c21 = c_in_avx2<kSet>(c + (i + 2) * ldc + j + 4);
-      __m256d c30 = c_in_avx2<kSet>(c + (i + 3) * ldc + j);
-      __m256d c31 = c_in_avx2<kSet>(c + (i + 3) * ldc + j + 4);
-      for (std::size_t p = 0; p < k; ++p) {
-        const double* acol = a + p * lda + i;
-        const double* brow = b + p * ldb + j;
-        const __m256d b0 = _mm256_loadu_pd(brow);
-        const __m256d b1 = _mm256_loadu_pd(brow + 4);
-        __m256d av = _mm256_set1_pd(acol[0]);
-        c00 = _mm256_fmadd_pd(av, b0, c00);
-        c01 = _mm256_fmadd_pd(av, b1, c01);
-        av = _mm256_set1_pd(acol[1]);
-        c10 = _mm256_fmadd_pd(av, b0, c10);
-        c11 = _mm256_fmadd_pd(av, b1, c11);
-        av = _mm256_set1_pd(acol[2]);
-        c20 = _mm256_fmadd_pd(av, b0, c20);
-        c21 = _mm256_fmadd_pd(av, b1, c21);
-        av = _mm256_set1_pd(acol[3]);
-        c30 = _mm256_fmadd_pd(av, b0, c30);
-        c31 = _mm256_fmadd_pd(av, b1, c31);
-      }
-      _mm256_storeu_pd(c + (i + 0) * ldc + j, c00);
-      _mm256_storeu_pd(c + (i + 0) * ldc + j + 4, c01);
-      _mm256_storeu_pd(c + (i + 1) * ldc + j, c10);
-      _mm256_storeu_pd(c + (i + 1) * ldc + j + 4, c11);
-      _mm256_storeu_pd(c + (i + 2) * ldc + j, c20);
-      _mm256_storeu_pd(c + (i + 2) * ldc + j + 4, c21);
-      _mm256_storeu_pd(c + (i + 3) * ldc + j, c30);
-      _mm256_storeu_pd(c + (i + 3) * ldc + j + 4, c31);
-    }
-    for (; j < n; ++j) {
-      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-      for (std::size_t p = 0; p < k; ++p) {
-        const double* acol = a + p * lda + i;
-        const double bv = b[p * ldb + j];
-        s0 = std::fma(acol[0], bv, s0);
-        s1 = std::fma(acol[1], bv, s1);
-        s2 = std::fma(acol[2], bv, s2);
-        s3 = std::fma(acol[3], bv, s3);
-      }
-      double* cj = c + i * ldc + j;
-      cj[0] = c_in<kSet>(cj) + s0;
-      cj[ldc] = c_in<kSet>(cj + ldc) + s1;
-      cj[2 * ldc] = c_in<kSet>(cj + 2 * ldc) + s2;
-      cj[3 * ldc] = c_in<kSet>(cj + 3 * ldc) + s3;
-    }
-  }
-  for (; i < m; ++i) {
-    std::size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      __m256d c0 = c_in_avx2<kSet>(c + i * ldc + j);
-      __m256d c1 = c_in_avx2<kSet>(c + i * ldc + j + 4);
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m256d av = _mm256_set1_pd(a[p * lda + i]);
-        c0 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b + p * ldb + j), c0);
-        c1 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b + p * ldb + j + 4), c1);
-      }
-      _mm256_storeu_pd(c + i * ldc + j, c0);
-      _mm256_storeu_pd(c + i * ldc + j + 4, c1);
-    }
-    for (; j < n; ++j) {
-      double s = 0.0;
-      for (std::size_t p = 0; p < k; ++p) {
-        s = std::fma(a[p * lda + i], b[p * ldb + j], s);
-      }
-      c[i * ldc + j] = c_in<kSet>(c + i * ldc + j) + s;
-    }
-  }
+  gemm_bcast_avx2(true, m, n, k, a, lda, 1, b, ldb, c, ldc, e, nullptr);
 }
 
-// One output of the 1x4 dot kernel: a single vector accumulator over p in
-// 4-lane steps, hsum, then the scalar tail in ascending p. The blocked
-// kernel below keeps exactly this per-output arithmetic.
+// Returns how many leading columns' sums it stored (gemm_tn sums the rest).
+DEEPCAT_TARGET_AVX2 std::size_t gemm_tn_avx2(std::size_t m, std::size_t n,
+                                             std::size_t k, const double* a,
+                                             std::size_t lda, const double* b,
+                                             std::size_t ldb, double* c,
+                                             std::size_t ldc, const Epilogue& e,
+                                             double* sums) noexcept {
+  if (n == 1) {
+    gemm_tn_n1_avx2(m, k, a, lda, b, ldb, c, ldc, e);
+    return 0;
+  }
+  return gemm_bcast_avx2(false, m, n, k, a, 1, lda, b, ldb, c, ldc, e, sums);
+}
+
+// One output row of the 1x4 dot kernel: a single vector accumulator over
+// p in 4-lane steps, hsum, then the scalar tail in ascending p. The
+// blocked kernel below keeps exactly this per-output arithmetic.
 template <bool kSet>
 DEEPCAT_TARGET_AVX2 void gemm_nt_row_avx2(const double* arow, std::size_t n,
                                           std::size_t k, const double* b,
-                                          std::size_t ldb,
-                                          double* crow) noexcept {
+                                          std::size_t ldb, double* crow,
+                                          const double* yrow) noexcept {
   std::size_t j = 0;
   for (; j + 4 <= n; j += 4) {
     const double* b0 = b + (j + 0) * ldb;
@@ -914,13 +945,13 @@ DEEPCAT_TARGET_AVX2 void gemm_nt_row_avx2(const double* arow, std::size_t n,
       s2 = std::fma(av, b2[p], s2);
       s3 = std::fma(av, b3[p], s3);
     }
-    crow[j + 0] = c_in<kSet>(crow + j + 0) + s0;
-    crow[j + 1] = c_in<kSet>(crow + j + 1) + s1;
-    crow[j + 2] = c_in<kSet>(crow + j + 2) + s2;
-    crow[j + 3] = c_in<kSet>(crow + j + 3) + s3;
+    nt_store<kSet>(crow, yrow, j + 0, s0);
+    nt_store<kSet>(crow, yrow, j + 1, s1);
+    nt_store<kSet>(crow, yrow, j + 2, s2);
+    nt_store<kSet>(crow, yrow, j + 3, s3);
   }
   for (; j < n; ++j) {
-    crow[j] = c_in<kSet>(crow + j) + dot_avx2(arow, b + j * ldb, k);
+    nt_store<kSet>(crow, yrow, j, dot_avx2(arow, b + j * ldb, k));
   }
 }
 
@@ -931,22 +962,25 @@ template <bool kSet>
 DEEPCAT_TARGET_AVX2 void gemm_nt_k1_avx2(std::size_t m, std::size_t n,
                                          const double* a, std::size_t lda,
                                          const double* b, std::size_t ldb,
-                                         double* c, std::size_t ldc) noexcept {
+                                         double* c, std::size_t ldc,
+                                         const double* y) noexcept {
   const __m256d zero = _mm256_setzero_pd();
   for (std::size_t i = 0; i < m; ++i) {
     const double ai = a[i * lda];
     const __m256d av = _mm256_set1_pd(ai);
     double* crow = c + i * ldc;
+    const double* yrow = at_offset(y, i * ldc);
     std::size_t j = 0;
     if (ldb == 1) {
       for (; j + 4 <= n; j += 4) {
         const __m256d prod = _mm256_fmadd_pd(av, _mm256_loadu_pd(b + j), zero);
-        _mm256_storeu_pd(crow + j,
-                         _mm256_add_pd(c_in_avx2<kSet>(crow + j), prod));
+        __m256d v = _mm256_add_pd(c_in_avx2<kSet>(crow + j), prod);
+        if (yrow != nullptr) v = relu_grad_avx2(v, yrow + j);
+        _mm256_storeu_pd(crow + j, v);
       }
     }
     for (; j < n; ++j) {
-      crow[j] = c_in<kSet>(crow + j) + std::fma(ai, b[j * ldb], 0.0);
+      nt_store<kSet>(crow, yrow, j, std::fma(ai, b[j * ldb], 0.0));
     }
   }
 }
@@ -959,9 +993,10 @@ DEEPCAT_TARGET_AVX2 void gemm_nt_avx2(std::size_t m, std::size_t n,
                                       std::size_t k, const double* a,
                                       std::size_t lda, const double* b,
                                       std::size_t ldb, double* c,
-                                      std::size_t ldc) noexcept {
+                                      std::size_t ldc,
+                                      const double* y) noexcept {
   if (k == 1) {
-    gemm_nt_k1_avx2<kSet>(m, n, a, lda, b, ldb, c, ldc);
+    gemm_nt_k1_avx2<kSet>(m, n, a, lda, b, ldb, c, ldc, y);
     return;
   }
   const std::size_t n4 = n - n % 4;
@@ -975,6 +1010,10 @@ DEEPCAT_TARGET_AVX2 void gemm_nt_avx2(std::size_t m, std::size_t n,
     double* c1 = c + (i + 1) * ldc;
     double* c2 = c + (i + 2) * ldc;
     double* c3 = c + (i + 3) * ldc;
+    const double* y0 = at_offset(y, (i + 0) * ldc);
+    const double* y1 = at_offset(y, (i + 1) * ldc);
+    const double* y2 = at_offset(y, (i + 2) * ldc);
+    const double* y3 = at_offset(y, (i + 3) * ldc);
     for (std::size_t j = 0; j < n4; j += 2) {
       const double* b0 = b + (j + 0) * ldb;
       const double* b1 = b + (j + 1) * ldb;
@@ -1013,66 +1052,27 @@ DEEPCAT_TARGET_AVX2 void gemm_nt_avx2(std::size_t m, std::size_t n,
         t30 = std::fma(a3[p], bs0, t30);
         t31 = std::fma(a3[p], bs1, t31);
       }
-      c0[j] = c_in<kSet>(c0 + j) + t00;
-      c0[j + 1] = c_in<kSet>(c0 + j + 1) + t01;
-      c1[j] = c_in<kSet>(c1 + j) + t10;
-      c1[j + 1] = c_in<kSet>(c1 + j + 1) + t11;
-      c2[j] = c_in<kSet>(c2 + j) + t20;
-      c2[j + 1] = c_in<kSet>(c2 + j + 1) + t21;
-      c3[j] = c_in<kSet>(c3 + j) + t30;
-      c3[j + 1] = c_in<kSet>(c3 + j + 1) + t31;
+      nt_store<kSet>(c0, y0, j, t00);
+      nt_store<kSet>(c0, y0, j + 1, t01);
+      nt_store<kSet>(c1, y1, j, t10);
+      nt_store<kSet>(c1, y1, j + 1, t11);
+      nt_store<kSet>(c2, y2, j, t20);
+      nt_store<kSet>(c2, y2, j + 1, t21);
+      nt_store<kSet>(c3, y3, j, t30);
+      nt_store<kSet>(c3, y3, j + 1, t31);
     }
     for (std::size_t j = n4; j < n; ++j) {
       const double* bj = b + j * ldb;
-      c0[j] = c_in<kSet>(c0 + j) + dot_avx2(a0, bj, k);
-      c1[j] = c_in<kSet>(c1 + j) + dot_avx2(a1, bj, k);
-      c2[j] = c_in<kSet>(c2 + j) + dot_avx2(a2, bj, k);
-      c3[j] = c_in<kSet>(c3 + j) + dot_avx2(a3, bj, k);
+      nt_store<kSet>(c0, y0, j, dot_avx2(a0, bj, k));
+      nt_store<kSet>(c1, y1, j, dot_avx2(a1, bj, k));
+      nt_store<kSet>(c2, y2, j, dot_avx2(a2, bj, k));
+      nt_store<kSet>(c3, y3, j, dot_avx2(a3, bj, k));
     }
   }
   for (; i < m; ++i) {
-    gemm_nt_row_avx2<kSet>(a + i * lda, n, k, b, ldb, c + i * ldc);
+    gemm_nt_row_avx2<kSet>(a + i * lda, n, k, b, ldb, c + i * ldc,
+                           at_offset(y, i * ldc));
   }
-}
-
-// max(x, 0) returns its second operand (+0.0) for NaN and for either zero,
-// which is exactly x > 0 ? x : +0.0.
-DEEPCAT_TARGET_AVX2 void relu_avx2(double* x, std::size_t n) noexcept {
-  const __m256d zero = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(x + i, _mm256_max_pd(_mm256_loadu_pd(x + i), zero));
-  }
-  relu_scalar(x + i, n - i);
-}
-
-// NLE_UQ is !(y <= 0) with NaN true: the mask keeps g exactly where the
-// scalar formula does, and ANDing with an all-zeros lane writes +0.0.
-DEEPCAT_TARGET_AVX2 void relu_grad_avx2(const double* g, const double* y,
-                                        double* out, std::size_t n) noexcept {
-  const __m256d zero = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d keep =
-        _mm256_cmp_pd(_mm256_loadu_pd(y + i), zero, _CMP_NLE_UQ);
-    _mm256_storeu_pd(out + i, _mm256_and_pd(keep, _mm256_loadu_pd(g + i)));
-  }
-  relu_grad_scalar(g + i, y + i, out + i, n - i);
-}
-
-template <bool kSet>
-DEEPCAT_TARGET_AVX2 void col_sums_add_avx2(std::size_t rows, std::size_t cols,
-                                           const double* a, std::size_t lda,
-                                           double* out) noexcept {
-  std::size_t j = 0;
-  for (; j + 4 <= cols; j += 4) {
-    __m256d s = _mm256_setzero_pd();
-    for (std::size_t r = 0; r < rows; ++r) {
-      s = _mm256_add_pd(s, _mm256_loadu_pd(a + r * lda + j));
-    }
-    _mm256_storeu_pd(out + j, _mm256_add_pd(c_in_avx2<kSet>(out + j), s));
-  }
-  col_sums_add_scalar<kSet>(rows, cols - j, a + j, lda, out + j);
 }
 
 // ---- AVX-512 kernels -----------------------------------------------------
@@ -1205,19 +1205,32 @@ DEEPCAT_TARGET_AVX512 inline __m512d c_in_avx512(const double* p) noexcept {
   }
 }
 
-// C(r) (+)= lane r of `s` for eight rows ldc apart.
-template <bool kSet>
+DEEPCAT_TARGET_AVX512 inline void store_avx512(double* p, __m512d v,
+                                               bool relu) noexcept {
+  _mm512_storeu_pd(p, relu ? _mm512_max_pd(v, _mm512_setzero_pd()) : v);
+}
+
+DEEPCAT_TARGET_AVX512 inline __m512d relu_grad_avx512(
+    __m512d g, const double* y) noexcept {
+  const __mmask8 keep =
+      _mm512_cmp_pd_mask(_mm512_loadu_pd(y), _mm512_setzero_pd(), _CMP_NLE_UQ);
+  return _mm512_maskz_mov_pd(keep, g);
+}
+
+// C(r) = epilogue(start(r) + lane r of s) for eight rows ldc apart.
 DEEPCAT_TARGET_AVX512 inline void add_rows_avx512(__m512d s, double* c,
-                                                  std::size_t ldc) noexcept {
-  if (ldc == 1) {
-    _mm512_storeu_pd(c, _mm512_add_pd(c_in_avx512<kSet>(c), s));
+                                                  std::size_t ldc,
+                                                  const Epilogue& e) noexcept {
+  if (ldc == 1 && e.sld <= 1) {
+    const __m512d in = e.start == nullptr ? _mm512_setzero_pd()
+                       : e.sld == 0       ? _mm512_set1_pd(*e.start)
+                                          : _mm512_loadu_pd(e.start);
+    store_avx512(c, _mm512_add_pd(in, s), e.relu);
     return;
   }
   alignas(64) double lane[8];
   _mm512_store_pd(lane, s);
-  for (std::size_t r = 0; r < 8; ++r) {
-    c[r * ldc] = c_in<kSet>(c + r * ldc) + lane[r];
-  }
+  for (std::size_t r = 0; r < 8; ++r) c[r * ldc] = e.out(e.in(r, 0) + lane[r]);
 }
 
 template <bool kUnitBc1>
@@ -1341,15 +1354,16 @@ DEEPCAT_TARGET_AVX512 inline void transpose8x8_avx512(__m512d t[8]) noexcept {
   }
 }
 
-// C(m x 1) += A(m x k) b for a row-major A — the n == 1 case. Lane r of an
-// accumulator is row r's FMA chain from +0.0 in ascending p, added to C at
-// the end: the arithmetic of the leftover-column loop below. 8x8 blocks of
-// A are transposed in registers so one FMA advances eight rows' chains; G
-// accumulators (8G rows) are in flight at once.
+// C(m x 1) = epilogue(start + A(m x k) b) for a row-major A — the n == 1
+// case. Lane r of an accumulator is row r's FMA chain from +0.0 in
+// ascending p, added to the start value at the store: the arithmetic of
+// the leftover-column chains. 8x8 blocks of A are transposed in registers
+// so one FMA advances eight rows' chains; G accumulators (8G rows) are in
+// flight at once.
 template <std::size_t G>
 DEEPCAT_TARGET_AVX512 void gemm_nn_n1_rows_avx512(
     std::size_t k, const double* a, std::size_t lda, const double* b,
-    std::size_t ldb, double* c, std::size_t ldc) noexcept {
+    std::size_t ldb, double* c, std::size_t ldc, const Epilogue& e) noexcept {
   __m512d acc[G];
 #pragma GCC unroll 4
   for (std::size_t g = 0; g < G; ++g) acc[g] = _mm512_setzero_pd();
@@ -1390,222 +1404,40 @@ DEEPCAT_TARGET_AVX512 void gemm_nn_n1_rows_avx512(
   }
 #pragma GCC unroll 4
   for (std::size_t g = 0; g < G; ++g) {
-    add_rows_avx512<false>(acc[g], c + 8 * g * ldc,
-                           ldc);
+    add_rows_avx512(acc[g], c + 8 * g * ldc, ldc, e.at(8 * g, 0));
   }
 }
 
 DEEPCAT_TARGET_AVX512 void gemm_nn_n1_avx512(std::size_t m, std::size_t k,
                                              const double* a, std::size_t lda,
                                              const double* b, std::size_t ldb,
-                                             double* c,
-                                             std::size_t ldc) noexcept {
+                                             double* c, std::size_t ldc,
+                                             const Epilogue& e) noexcept {
   std::size_t i = 0;
   for (; i + 32 <= m; i += 32) {
-    gemm_nn_n1_rows_avx512<4>(k, a + i * lda, lda, b, ldb, c + i * ldc, ldc);
+    gemm_nn_n1_rows_avx512<4>(k, a + i * lda, lda, b, ldb, c + i * ldc, ldc,
+                              e.at(i, 0));
   }
   for (; i + 8 <= m; i += 8) {
-    gemm_nn_n1_rows_avx512<1>(k, a + i * lda, lda, b, ldb, c + i * ldc, ldc);
+    gemm_nn_n1_rows_avx512<1>(k, a + i * lda, lda, b, ldb, c + i * ldc, ldc,
+                              e.at(i, 0));
   }
   for (; i < m; ++i) {
     const double* arow = a + i * lda;
     double s = 0.0;
     for (std::size_t p = 0; p < k; ++p) s = std::fma(arow[p], b[p * ldb], s);
-    c[i * ldc] += s;
+    c[i * ldc] = e.out(e.in(i, 0) + s);
   }
 }
 
-// 8 rows x 16 columns per tile over the full 16-column blocks of every
-// 8-row band: 16 zmm accumulators, where the 4x16 tiles below hold 8 —
-// too few to cover the FMA latency. Each C element keeps its one FMA
-// chain from the stored value in ascending p, so banded outputs are
-// bit-identical to the 4x16 tiles. A's element (i, p) is a[i*ars + p*acs],
-// which serves gemm_nn (ars = lda, acs = 1) and gemm_tn (ars = 1,
-// acs = lda). Returns the number of rows banded.
-template <bool kSet>
-DEEPCAT_TARGET_AVX512 std::size_t gemm_bands_8x16_avx512(
-    std::size_t m, std::size_t n, std::size_t k, const double* a,
-    std::size_t ars, std::size_t acs, const double* b, std::size_t ldb,
-    double* c, std::size_t ldc) noexcept {
-  std::size_t i = 0;
-  for (; i + 8 <= m; i += 8) {
-    for (std::size_t j = 0; j + 16 <= n; j += 16) {
-      __m512d acc[8][2];
-#pragma GCC unroll 8
-      for (std::size_t r = 0; r < 8; ++r) {
-        acc[r][0] = c_in_avx512<kSet>(c + (i + r) * ldc + j);
-        acc[r][1] = c_in_avx512<kSet>(c + (i + r) * ldc + j + 8);
-      }
-      for (std::size_t p = 0; p < k; ++p) {
-        const double* brow = b + p * ldb + j;
-        const __m512d b0 = _mm512_loadu_pd(brow);
-        const __m512d b1 = _mm512_loadu_pd(brow + 8);
-        const double* ap = a + i * ars + p * acs;
-#pragma GCC unroll 8
-        for (std::size_t r = 0; r < 8; ++r) {
-          const __m512d av = _mm512_set1_pd(ap[r * ars]);
-          acc[r][0] = _mm512_fmadd_pd(av, b0, acc[r][0]);
-          acc[r][1] = _mm512_fmadd_pd(av, b1, acc[r][1]);
-        }
-      }
-#pragma GCC unroll 8
-      for (std::size_t r = 0; r < 8; ++r) {
-        _mm512_storeu_pd(c + (i + r) * ldc + j, acc[r][0]);
-        _mm512_storeu_pd(c + (i + r) * ldc + j + 8, acc[r][1]);
-      }
-    }
-  }
-  return i;
-}
-
-// 4x16 register-blocked micro-kernel: the AVX2 4x8 tile widened to two
-// zmm columns per row — 8 resident accumulators, double the flops per
-// broadcast. It covers what the 8x16 bands leave: their last n % 16
-// columns, and rows past the last full band.
-DEEPCAT_TARGET_AVX512 void gemm_nn_avx512(std::size_t m, std::size_t n,
-                                          std::size_t k, const double* a,
-                                          std::size_t lda, const double* b,
-                                          std::size_t ldb, double* c,
-                                          std::size_t ldc) noexcept {
-  if (n == 1) {
-    gemm_nn_n1_avx512(m, k, a, lda, b, ldb, c, ldc);
-    return;
-  }
-  const std::size_t banded =
-      gemm_bands_8x16_avx512<false>(m, n, k, a, lda, 1, b, ldb, c, ldc);
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const double* a0 = a + (i + 0) * lda;
-    const double* a1 = a + (i + 1) * lda;
-    const double* a2 = a + (i + 2) * lda;
-    const double* a3 = a + (i + 3) * lda;
-    std::size_t j = i < banded ? n - n % 16 : 0;
-    for (; j + 16 <= n; j += 16) {
-      __m512d c00 = _mm512_loadu_pd(c + (i + 0) * ldc + j);
-      __m512d c01 = _mm512_loadu_pd(c + (i + 0) * ldc + j + 8);
-      __m512d c10 = _mm512_loadu_pd(c + (i + 1) * ldc + j);
-      __m512d c11 = _mm512_loadu_pd(c + (i + 1) * ldc + j + 8);
-      __m512d c20 = _mm512_loadu_pd(c + (i + 2) * ldc + j);
-      __m512d c21 = _mm512_loadu_pd(c + (i + 2) * ldc + j + 8);
-      __m512d c30 = _mm512_loadu_pd(c + (i + 3) * ldc + j);
-      __m512d c31 = _mm512_loadu_pd(c + (i + 3) * ldc + j + 8);
-      for (std::size_t p = 0; p < k; ++p) {
-        const double* brow = b + p * ldb + j;
-        const __m512d b0 = _mm512_loadu_pd(brow);
-        const __m512d b1 = _mm512_loadu_pd(brow + 8);
-        __m512d av = _mm512_set1_pd(a0[p]);
-        c00 = _mm512_fmadd_pd(av, b0, c00);
-        c01 = _mm512_fmadd_pd(av, b1, c01);
-        av = _mm512_set1_pd(a1[p]);
-        c10 = _mm512_fmadd_pd(av, b0, c10);
-        c11 = _mm512_fmadd_pd(av, b1, c11);
-        av = _mm512_set1_pd(a2[p]);
-        c20 = _mm512_fmadd_pd(av, b0, c20);
-        c21 = _mm512_fmadd_pd(av, b1, c21);
-        av = _mm512_set1_pd(a3[p]);
-        c30 = _mm512_fmadd_pd(av, b0, c30);
-        c31 = _mm512_fmadd_pd(av, b1, c31);
-      }
-      _mm512_storeu_pd(c + (i + 0) * ldc + j, c00);
-      _mm512_storeu_pd(c + (i + 0) * ldc + j + 8, c01);
-      _mm512_storeu_pd(c + (i + 1) * ldc + j, c10);
-      _mm512_storeu_pd(c + (i + 1) * ldc + j + 8, c11);
-      _mm512_storeu_pd(c + (i + 2) * ldc + j, c20);
-      _mm512_storeu_pd(c + (i + 2) * ldc + j + 8, c21);
-      _mm512_storeu_pd(c + (i + 3) * ldc + j, c30);
-      _mm512_storeu_pd(c + (i + 3) * ldc + j + 8, c31);
-    }
-    for (; j + 8 <= n; j += 8) {
-      __m512d c0 = _mm512_loadu_pd(c + (i + 0) * ldc + j);
-      __m512d c1 = _mm512_loadu_pd(c + (i + 1) * ldc + j);
-      __m512d c2 = _mm512_loadu_pd(c + (i + 2) * ldc + j);
-      __m512d c3 = _mm512_loadu_pd(c + (i + 3) * ldc + j);
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m512d bv = _mm512_loadu_pd(b + p * ldb + j);
-        c0 = _mm512_fmadd_pd(_mm512_set1_pd(a0[p]), bv, c0);
-        c1 = _mm512_fmadd_pd(_mm512_set1_pd(a1[p]), bv, c1);
-        c2 = _mm512_fmadd_pd(_mm512_set1_pd(a2[p]), bv, c2);
-        c3 = _mm512_fmadd_pd(_mm512_set1_pd(a3[p]), bv, c3);
-      }
-      _mm512_storeu_pd(c + (i + 0) * ldc + j, c0);
-      _mm512_storeu_pd(c + (i + 1) * ldc + j, c1);
-      _mm512_storeu_pd(c + (i + 2) * ldc + j, c2);
-      _mm512_storeu_pd(c + (i + 3) * ldc + j, c3);
-    }
-    // Leftover columns: four independent per-row chains advance together,
-    // so the FMA latency overlaps (each chain's order is unchanged).
-    for (; j < n; ++j) {
-      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-      for (std::size_t p = 0; p < k; ++p) {
-        const double bv = b[p * ldb + j];
-        s0 = std::fma(a0[p], bv, s0);
-        s1 = std::fma(a1[p], bv, s1);
-        s2 = std::fma(a2[p], bv, s2);
-        s3 = std::fma(a3[p], bv, s3);
-      }
-      c[(i + 0) * ldc + j] += s0;
-      c[(i + 1) * ldc + j] += s1;
-      c[(i + 2) * ldc + j] += s2;
-      c[(i + 3) * ldc + j] += s3;
-    }
-  }
-  for (; i < m; ++i) {
-    const double* arow = a + i * lda;
-    double* crow = c + i * ldc;
-    std::size_t j = 0;
-    // A single row (the Twin-Q screen, act) has no neighbouring rows to
-    // interleave: sixteen accumulators over 128 columns hide the FMA
-    // latency that two cannot and stream B row by row, contiguously. Each
-    // column keeps its chain from C.
-    for (; j + 128 <= n; j += 128) {
-      __m512d acc[16];
-#pragma GCC unroll 16
-      for (std::size_t q = 0; q < 16; ++q) {
-        acc[q] = _mm512_loadu_pd(crow + j + 8 * q);
-      }
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m512d av = _mm512_set1_pd(arow[p]);
-        const double* brow = b + p * ldb + j;
-#pragma GCC unroll 16
-        for (std::size_t q = 0; q < 16; ++q) {
-          acc[q] = _mm512_fmadd_pd(av, _mm512_loadu_pd(brow + 8 * q), acc[q]);
-        }
-      }
-#pragma GCC unroll 16
-      for (std::size_t q = 0; q < 16; ++q) {
-        _mm512_storeu_pd(crow + j + 8 * q, acc[q]);
-      }
-    }
-    for (; j + 16 <= n; j += 16) {
-      __m512d c0 = _mm512_loadu_pd(crow + j);
-      __m512d c1 = _mm512_loadu_pd(crow + j + 8);
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m512d av = _mm512_set1_pd(arow[p]);
-        c0 = _mm512_fmadd_pd(av, _mm512_loadu_pd(b + p * ldb + j), c0);
-        c1 = _mm512_fmadd_pd(av, _mm512_loadu_pd(b + p * ldb + j + 8), c1);
-      }
-      _mm512_storeu_pd(crow + j, c0);
-      _mm512_storeu_pd(crow + j + 8, c1);
-    }
-    for (; j < n; ++j) {
-      double s = 0.0;
-      for (std::size_t p = 0; p < k; ++p) {
-        s = std::fma(arow[p], b[p * ldb + j], s);
-      }
-      crow[j] += s;
-    }
-  }
-}
-
-// C(m x 1) (+)= A^T b for a (k x m) A — the n == 1 case. Column p of A^T is
-// row p of A, contiguous across output rows, so lane r of an accumulator
-// is row r's FMA chain from +0.0 in ascending p with plain vector loads.
-template <bool kSet>
+// C(m x 1) = epilogue(start + A^T b) for a (k x m) A — gemm_tn's n == 1
+// case, lane r of an accumulator being row r's FMA chain from +0.0 in
+// ascending p (see gemm_tn_n1_avx2).
 DEEPCAT_TARGET_AVX512 void gemm_tn_n1_avx512(std::size_t m, std::size_t k,
                                              const double* a, std::size_t lda,
                                              const double* b, std::size_t ldb,
-                                             double* c,
-                                             std::size_t ldc) noexcept {
+                                             double* c, std::size_t ldc,
+                                             const Epilogue& e) noexcept {
   std::size_t i = 0;
   for (; i + 64 <= m; i += 64) {
     __m512d acc[8];
@@ -1621,7 +1453,7 @@ DEEPCAT_TARGET_AVX512 void gemm_tn_n1_avx512(std::size_t m, std::size_t k,
     }
 #pragma GCC unroll 8
     for (std::size_t q = 0; q < 8; ++q) {
-      add_rows_avx512<kSet>(acc[q], c + (i + 8 * q) * ldc, ldc);
+      add_rows_avx512(acc[q], c + (i + 8 * q) * ldc, ldc, e.at(i + 8 * q, 0));
     }
   }
   for (; i + 8 <= m; i += 8) {
@@ -1630,108 +1462,164 @@ DEEPCAT_TARGET_AVX512 void gemm_tn_n1_avx512(std::size_t m, std::size_t k,
       acc = _mm512_fmadd_pd(_mm512_loadu_pd(a + p * lda + i),
                             _mm512_set1_pd(b[p * ldb]), acc);
     }
-    add_rows_avx512<kSet>(acc, c + i * ldc, ldc);
+    add_rows_avx512(acc, c + i * ldc, ldc, e.at(i, 0));
   }
   for (; i < m; ++i) {
     double s = 0.0;
     for (std::size_t p = 0; p < k; ++p) {
       s = std::fma(a[p * lda + i], b[p * ldb], s);
     }
-    c[i * ldc] = c_in<kSet>(c + i * ldc) + s;
+    c[i * ldc] = e.out(e.in(i, 0) + s);
   }
 }
 
-// Same band + 4x16 block shapes as gemm_nn_avx512; only the A access
-// changes (column i of the stored (k x m) A, i.e. strided broadcasts).
-template <bool kSet>
-DEEPCAT_TARGET_AVX512 void gemm_tn_avx512(std::size_t m, std::size_t n,
+// One R-row x 8V-column register tile of the broadcast GEMMs, with
+// tile_avx2_impl's arithmetic at twice the lane width.
+template <std::size_t R, std::size_t V, bool kSums>
+DEEPCAT_TARGET_AVX512 inline void tile_avx512_impl(
+    std::size_t k, const double* a, std::size_t ars, std::size_t acs,
+    const double* b, std::size_t ldb, double* c, std::size_t ldc,
+    const Epilogue& e, double* sums) noexcept {
+  __m512d acc[R][V];
+  __m512d sum[V];
+#pragma GCC unroll 16
+  for (std::size_t v = 0; v < V; ++v) {
+    sum[v] = _mm512_setzero_pd();
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) {
+      acc[r][v] = e.start == nullptr
+                      ? _mm512_setzero_pd()
+                      : _mm512_loadu_pd(e.start + r * e.sld + 8 * v);
+    }
+  }
+  for (std::size_t p = 0; p < k; ++p) {
+    const double* brow = b + p * ldb;
+    const double* ap = a + p * acs;
+    __m512d bv[V];
+#pragma GCC unroll 16
+    for (std::size_t v = 0; v < V; ++v) {
+      bv[v] = _mm512_loadu_pd(brow + 8 * v);
+      if constexpr (kSums) sum[v] = _mm512_add_pd(sum[v], bv[v]);
+    }
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) {
+      const __m512d av = _mm512_set1_pd(ap[r * ars]);
+#pragma GCC unroll 16
+      for (std::size_t v = 0; v < V; ++v) {
+        acc[r][v] = _mm512_fmadd_pd(av, bv[v], acc[r][v]);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 16
+    for (std::size_t v = 0; v < V; ++v) {
+      store_avx512(c + r * ldc + 8 * v, acc[r][v], e.relu);
+    }
+  }
+  if constexpr (kSums) {
+#pragma GCC unroll 16
+    for (std::size_t v = 0; v < V; ++v) {
+      const __m512d in = e.start == nullptr ? _mm512_setzero_pd()
+                                            : _mm512_loadu_pd(sums + 8 * v);
+      _mm512_storeu_pd(sums + 8 * v, _mm512_add_pd(in, sum[v]));
+    }
+  }
+}
+
+template <std::size_t R, std::size_t V>
+DEEPCAT_TARGET_AVX512 inline void tile_avx512(
+    std::size_t k, const double* a, std::size_t ars, std::size_t acs,
+    const double* b, std::size_t ldb, double* c, std::size_t ldc,
+    const Epilogue& e, double* sums) noexcept {
+  if (sums == nullptr) {
+    tile_avx512_impl<R, V, false>(k, a, ars, acs, b, ldb, c, ldc, e, nullptr);
+  } else {
+    tile_avx512_impl<R, V, true>(k, a, ars, acs, b, ldb, c, ldc, e, sums);
+  }
+}
+
+// gemm_bcast_avx2's shapes at twice the lane width, plus 8x16 tiles over
+// the full 16-column blocks of every 8-row band: 16 zmm accumulators,
+// where the 4x16 tiles hold 8 — too few to cover the FMA latency. Every
+// output keeps its one FMA chain from its start value, so banded outputs
+// are bit-identical to the 4x16 tiles'. The 4x16 tiles cover the bands'
+// last n % 16 columns and the rows past the last band, then gemm_nn's 4x8
+// tiles and the chains; the 1-row tiles are 128 (gemm_nn) and 16 wide.
+DEEPCAT_TARGET_AVX512 std::size_t gemm_bcast_avx512(
+    bool nn, std::size_t m, std::size_t n, std::size_t k, const double* a,
+    std::size_t ars, std::size_t acs, const double* b, std::size_t ldb,
+    double* c, std::size_t ldc, const Epilogue& e, double* sums) noexcept {
+  const std::size_t n16 = n - n % 16;
+  std::size_t banded = 0;
+  for (; banded + 8 <= m; banded += 8) {
+    double* si = banded == 0 ? sums : nullptr;
+    for (std::size_t j = 0; j < n16; j += 16) {
+      tile_avx512<8, 2>(k, a + banded * ars, ars, acs, b + j, ldb,
+                        c + banded * ldc + j, ldc, e.at(banded, j),
+                        at_offset(si, j));
+    }
+  }
+  std::size_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    const double* ai = a + i * ars;
+    double* ci = c + i * ldc;
+    double* si = i == 0 ? sums : nullptr;
+    std::size_t j = i < banded ? n16 : 0;
+    for (; j + 16 <= n; j += 16) {
+      tile_avx512<4, 2>(k, ai, ars, acs, b + j, ldb, ci + j, ldc, e.at(i, j),
+                        at_offset(si, j));
+    }
+    for (; nn && j + 8 <= n; j += 8) {
+      tile_avx512<4, 1>(k, ai, ars, acs, b + j, ldb, ci + j, ldc, e.at(i, j),
+                        nullptr);
+    }
+    fma_chains<4>(j, n, k, ai, ars, acs, b, ldb, ci, ldc, e.at(i, 0));
+  }
+  for (; i < m; ++i) {
+    const double* ai = a + i * ars;
+    double* ci = c + i * ldc;
+    double* si = i == 0 ? sums : nullptr;
+    std::size_t j = 0;
+    // A single row (the Twin-Q screen, act): sixteen accumulators over 128
+    // columns hide the FMA latency that two cannot and stream B row by
+    // row, contiguously.
+    for (; nn && j + 128 <= n; j += 128) {
+      tile_avx512<1, 16>(k, ai, ars, acs, b + j, ldb, ci + j, ldc,
+                         e.at(i, j), nullptr);
+    }
+    for (; j + 16 <= n; j += 16) {
+      tile_avx512<1, 2>(k, ai, ars, acs, b + j, ldb, ci + j, ldc, e.at(i, j),
+                        at_offset(si, j));
+    }
+    fma_chains<1>(j, n, k, ai, ars, acs, b, ldb, ci, ldc, e.at(i, 0));
+  }
+  return m == 0 ? 0 : n16;
+}
+
+DEEPCAT_TARGET_AVX512 void gemm_nn_avx512(std::size_t m, std::size_t n,
                                           std::size_t k, const double* a,
                                           std::size_t lda, const double* b,
                                           std::size_t ldb, double* c,
-                                          std::size_t ldc) noexcept {
+                                          std::size_t ldc,
+                                          const Epilogue& e) noexcept {
   if (n == 1) {
-    gemm_tn_n1_avx512<kSet>(m, k, a, lda, b, ldb, c, ldc);
+    gemm_nn_n1_avx512(m, k, a, lda, b, ldb, c, ldc, e);
     return;
   }
-  const std::size_t banded =
-      gemm_bands_8x16_avx512<kSet>(m, n, k, a, 1, lda, b, ldb, c, ldc);
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    std::size_t j = i < banded ? n - n % 16 : 0;
-    for (; j + 16 <= n; j += 16) {
-      __m512d c00 = c_in_avx512<kSet>(c + (i + 0) * ldc + j);
-      __m512d c01 = c_in_avx512<kSet>(c + (i + 0) * ldc + j + 8);
-      __m512d c10 = c_in_avx512<kSet>(c + (i + 1) * ldc + j);
-      __m512d c11 = c_in_avx512<kSet>(c + (i + 1) * ldc + j + 8);
-      __m512d c20 = c_in_avx512<kSet>(c + (i + 2) * ldc + j);
-      __m512d c21 = c_in_avx512<kSet>(c + (i + 2) * ldc + j + 8);
-      __m512d c30 = c_in_avx512<kSet>(c + (i + 3) * ldc + j);
-      __m512d c31 = c_in_avx512<kSet>(c + (i + 3) * ldc + j + 8);
-      for (std::size_t p = 0; p < k; ++p) {
-        const double* acol = a + p * lda + i;
-        const double* brow = b + p * ldb + j;
-        const __m512d b0 = _mm512_loadu_pd(brow);
-        const __m512d b1 = _mm512_loadu_pd(brow + 8);
-        __m512d av = _mm512_set1_pd(acol[0]);
-        c00 = _mm512_fmadd_pd(av, b0, c00);
-        c01 = _mm512_fmadd_pd(av, b1, c01);
-        av = _mm512_set1_pd(acol[1]);
-        c10 = _mm512_fmadd_pd(av, b0, c10);
-        c11 = _mm512_fmadd_pd(av, b1, c11);
-        av = _mm512_set1_pd(acol[2]);
-        c20 = _mm512_fmadd_pd(av, b0, c20);
-        c21 = _mm512_fmadd_pd(av, b1, c21);
-        av = _mm512_set1_pd(acol[3]);
-        c30 = _mm512_fmadd_pd(av, b0, c30);
-        c31 = _mm512_fmadd_pd(av, b1, c31);
-      }
-      _mm512_storeu_pd(c + (i + 0) * ldc + j, c00);
-      _mm512_storeu_pd(c + (i + 0) * ldc + j + 8, c01);
-      _mm512_storeu_pd(c + (i + 1) * ldc + j, c10);
-      _mm512_storeu_pd(c + (i + 1) * ldc + j + 8, c11);
-      _mm512_storeu_pd(c + (i + 2) * ldc + j, c20);
-      _mm512_storeu_pd(c + (i + 2) * ldc + j + 8, c21);
-      _mm512_storeu_pd(c + (i + 3) * ldc + j, c30);
-      _mm512_storeu_pd(c + (i + 3) * ldc + j + 8, c31);
-    }
-    for (; j < n; ++j) {
-      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-      for (std::size_t p = 0; p < k; ++p) {
-        const double* acol = a + p * lda + i;
-        const double bv = b[p * ldb + j];
-        s0 = std::fma(acol[0], bv, s0);
-        s1 = std::fma(acol[1], bv, s1);
-        s2 = std::fma(acol[2], bv, s2);
-        s3 = std::fma(acol[3], bv, s3);
-      }
-      double* cj = c + i * ldc + j;
-      cj[0] = c_in<kSet>(cj) + s0;
-      cj[ldc] = c_in<kSet>(cj + ldc) + s1;
-      cj[2 * ldc] = c_in<kSet>(cj + 2 * ldc) + s2;
-      cj[3 * ldc] = c_in<kSet>(cj + 3 * ldc) + s3;
-    }
+  gemm_bcast_avx512(true, m, n, k, a, lda, 1, b, ldb, c, ldc, e, nullptr);
+}
+
+DEEPCAT_TARGET_AVX512 std::size_t gemm_tn_avx512(
+    std::size_t m, std::size_t n, std::size_t k, const double* a,
+    std::size_t lda, const double* b, std::size_t ldb, double* c,
+    std::size_t ldc, const Epilogue& e, double* sums) noexcept {
+  if (n == 1) {
+    gemm_tn_n1_avx512(m, k, a, lda, b, ldb, c, ldc, e);
+    return 0;
   }
-  for (; i < m; ++i) {
-    std::size_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      __m512d c0 = c_in_avx512<kSet>(c + i * ldc + j);
-      __m512d c1 = c_in_avx512<kSet>(c + i * ldc + j + 8);
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m512d av = _mm512_set1_pd(a[p * lda + i]);
-        c0 = _mm512_fmadd_pd(av, _mm512_loadu_pd(b + p * ldb + j), c0);
-        c1 = _mm512_fmadd_pd(av, _mm512_loadu_pd(b + p * ldb + j + 8), c1);
-      }
-      _mm512_storeu_pd(c + i * ldc + j, c0);
-      _mm512_storeu_pd(c + i * ldc + j + 8, c1);
-    }
-    for (; j < n; ++j) {
-      double s = 0.0;
-      for (std::size_t p = 0; p < k; ++p) {
-        s = std::fma(a[p * lda + i], b[p * ldb + j], s);
-      }
-      c[i * ldc + j] = c_in<kSet>(c + i * ldc + j) + s;
-    }
-  }
+  return gemm_bcast_avx512(false, m, n, k, a, 1, lda, b, ldb, c, ldc, e,
+                           sums);
 }
 
 // _mm512_reduce_add_pd of four accumulators at once: lane q of the result
@@ -1764,8 +1652,8 @@ template <bool kSet>
 DEEPCAT_TARGET_AVX512 void gemm_nt_row_avx512(const double* arow,
                                               std::size_t n, std::size_t k,
                                               const double* b,
-                                              std::size_t ldb,
-                                              double* crow) noexcept {
+                                              std::size_t ldb, double* crow,
+                                              const double* yrow) noexcept {
   std::size_t j = 0;
   for (; j + 4 <= n; j += 4) {
     const double* b0 = b + (j + 0) * ldb;
@@ -1793,13 +1681,13 @@ DEEPCAT_TARGET_AVX512 void gemm_nt_row_avx512(const double* arow,
       s2 = std::fma(av, b2[p], s2);
       s3 = std::fma(av, b3[p], s3);
     }
-    crow[j + 0] = c_in<kSet>(crow + j + 0) + s0;
-    crow[j + 1] = c_in<kSet>(crow + j + 1) + s1;
-    crow[j + 2] = c_in<kSet>(crow + j + 2) + s2;
-    crow[j + 3] = c_in<kSet>(crow + j + 3) + s3;
+    nt_store<kSet>(crow, yrow, j + 0, s0);
+    nt_store<kSet>(crow, yrow, j + 1, s1);
+    nt_store<kSet>(crow, yrow, j + 2, s2);
+    nt_store<kSet>(crow, yrow, j + 3, s3);
   }
   for (; j < n; ++j) {
-    crow[j] = c_in<kSet>(crow + j) + dot_avx512(arow, b + j * ldb, k);
+    nt_store<kSet>(crow, yrow, j, dot_avx512(arow, b + j * ldb, k));
   }
 }
 
@@ -1810,23 +1698,25 @@ template <bool kSet>
 DEEPCAT_TARGET_AVX512 void gemm_nt_k1_avx512(std::size_t m, std::size_t n,
                                              const double* a, std::size_t lda,
                                              const double* b, std::size_t ldb,
-                                             double* c,
-                                             std::size_t ldc) noexcept {
+                                             double* c, std::size_t ldc,
+                                             const double* y) noexcept {
   const __m512d zero = _mm512_setzero_pd();
   for (std::size_t i = 0; i < m; ++i) {
     const double ai = a[i * lda];
     const __m512d av = _mm512_set1_pd(ai);
     double* crow = c + i * ldc;
+    const double* yrow = at_offset(y, i * ldc);
     std::size_t j = 0;
     if (ldb == 1) {
       for (; j + 8 <= n; j += 8) {
         const __m512d prod = _mm512_fmadd_pd(av, _mm512_loadu_pd(b + j), zero);
-        _mm512_storeu_pd(crow + j,
-                         _mm512_add_pd(c_in_avx512<kSet>(crow + j), prod));
+        __m512d v = _mm512_add_pd(c_in_avx512<kSet>(crow + j), prod);
+        if (yrow != nullptr) v = relu_grad_avx512(v, yrow + j);
+        _mm512_storeu_pd(crow + j, v);
       }
     }
     for (; j < n; ++j) {
-      crow[j] = c_in<kSet>(crow + j) + std::fma(ai, b[j * ldb], 0.0);
+      nt_store<kSet>(crow, yrow, j, std::fma(ai, b[j * ldb], 0.0));
     }
   }
 }
@@ -1839,9 +1729,10 @@ DEEPCAT_TARGET_AVX512 void gemm_nt_avx512(std::size_t m, std::size_t n,
                                           std::size_t k, const double* a,
                                           std::size_t lda, const double* b,
                                           std::size_t ldb, double* c,
-                                          std::size_t ldc) noexcept {
+                                          std::size_t ldc,
+                                          const double* y) noexcept {
   if (k == 1) {
-    gemm_nt_k1_avx512<kSet>(m, n, a, lda, b, ldb, c, ldc);
+    gemm_nt_k1_avx512<kSet>(m, n, a, lda, b, ldb, c, ldc, y);
     return;
   }
   const std::size_t n4 = n - n % 4;
@@ -1875,8 +1766,9 @@ DEEPCAT_TARGET_AVX512 void gemm_nt_avx512(std::size_t m, std::size_t n,
         }
       }
       // Scalar tail in ascending p, four columns per vector (per-lane FMA
-      // is the scalar tail's s = fma(a, b, s)), then C += s. With k < 8
-      // the accumulators never left +0.0, and neither does their sum.
+      // is the scalar tail's s = fma(a, b, s)), then C += s and the mask.
+      // With k < 8 the accumulators never left +0.0, and neither does
+      // their sum.
 #pragma GCC unroll 4
       for (int r = 0; r < 4; ++r) {
         __m256d sv = p == 0 ? _mm256_setzero_pd()
@@ -1888,57 +1780,23 @@ DEEPCAT_TARGET_AVX512 void gemm_nt_avx512(std::size_t m, std::size_t n,
           sv = _mm256_fmadd_pd(_mm256_set1_pd(ar[r][t]), bt, sv);
         }
         double* cj = cr[r] + j;
-        _mm256_storeu_pd(cj, _mm256_add_pd(c_in_avx2<kSet>(cj), sv));
+        const std::size_t row = i + static_cast<std::size_t>(r);
+        __m256d v = _mm256_add_pd(c_in_avx2<kSet>(cj), sv);
+        if (y != nullptr) v = relu_grad_avx2(v, y + row * ldc + j);
+        _mm256_storeu_pd(cj, v);
       }
     }
     for (std::size_t j = n4; j < n; ++j) {
-      for (int r = 0; r < 4; ++r) {
-        cr[r][j] = c_in<kSet>(cr[r] + j) + dot_avx512(ar[r], b + j * ldb, k);
+      for (std::size_t r = 0; r < 4; ++r) {
+        nt_store<kSet>(cr[r], at_offset(y, (i + r) * ldc), j,
+                       dot_avx512(ar[r], b + j * ldb, k));
       }
     }
   }
   for (; i < m; ++i) {
-    gemm_nt_row_avx512<kSet>(a + i * lda, n, k, b, ldb, c + i * ldc);
+    gemm_nt_row_avx512<kSet>(a + i * lda, n, k, b, ldb, c + i * ldc,
+                             at_offset(y, i * ldc));
   }
-}
-
-DEEPCAT_TARGET_AVX512 void relu_avx512(double* x, std::size_t n) noexcept {
-  const __m512d zero = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm512_storeu_pd(x + i, _mm512_max_pd(_mm512_loadu_pd(x + i), zero));
-  }
-  relu_scalar(x + i, n - i);
-}
-
-DEEPCAT_TARGET_AVX512 void relu_grad_avx512(const double* g, const double* y,
-                                            double* out,
-                                            std::size_t n) noexcept {
-  const __m512d zero = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __mmask8 keep =
-        _mm512_cmp_pd_mask(_mm512_loadu_pd(y + i), zero, _CMP_NLE_UQ);
-    _mm512_storeu_pd(out + i, _mm512_maskz_mov_pd(keep, _mm512_loadu_pd(g + i)));
-  }
-  relu_grad_scalar(g + i, y + i, out + i, n - i);
-}
-
-template <bool kSet>
-DEEPCAT_TARGET_AVX512 void col_sums_add_avx512(std::size_t rows,
-                                               std::size_t cols,
-                                               const double* a,
-                                               std::size_t lda,
-                                               double* out) noexcept {
-  std::size_t j = 0;
-  for (; j + 8 <= cols; j += 8) {
-    __m512d s = _mm512_setzero_pd();
-    for (std::size_t r = 0; r < rows; ++r) {
-      s = _mm512_add_pd(s, _mm512_loadu_pd(a + r * lda + j));
-    }
-    _mm512_storeu_pd(out + j, _mm512_add_pd(c_in_avx512<kSet>(out + j), s));
-  }
-  col_sums_add_scalar<kSet>(rows, cols - j, a + j, lda, out + j);
 }
 
 #endif  // DEEPCAT_SIMD_X86
@@ -2168,70 +2026,76 @@ void adam_update_clipped(const AdamTensor* tensors, std::size_t count,
 
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
-             std::size_t ldc) noexcept {
+             std::size_t ldc, const double* bias, bool relu) noexcept {
   const Backend be = active_backend();
   count_dispatch(be);
+  const Epilogue e = bias == nullptr ? Epilogue{c, ldc, relu}
+                                     : Epilogue{bias, 0, relu};
 #if DEEPCAT_SIMD_X86
   switch (be) {
     case Backend::kAvx512:
-      gemm_nn_avx512(m, n, k, a, lda, b, ldb, c, ldc);
+      gemm_nn_avx512(m, n, k, a, lda, b, ldb, c, ldc, e);
       return;
     case Backend::kAvx2:
-      gemm_nn_avx2(m, n, k, a, lda, b, ldb, c, ldc);
+      gemm_nn_avx2(m, n, k, a, lda, b, ldb, c, ldc, e);
       return;
     default:
       break;
   }
 #endif
-  gemm_nn_scalar(m, n, k, a, lda, b, ldb, c, ldc);
+  gemm_nn_scalar(m, n, k, a, lda, b, ldb, c, ldc, e);
 }
 
 void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
-             std::size_t ldc, Store store) noexcept {
+             std::size_t ldc, Store store, double* b_col_sums) noexcept {
   const Backend be = active_backend();
   count_dispatch(be);
-#if DEEPCAT_SIMD_X86
   const bool set = store == Store::kSet;
+  const Epilogue e{set ? nullptr : c, ldc, false};
+  // Leading columns whose sums the tier's tiles already stored.
+  std::size_t summed = 0;
   switch (be) {
+#if DEEPCAT_SIMD_X86
     case Backend::kAvx512:
-      set ? gemm_tn_avx512<true>(m, n, k, a, lda, b, ldb, c, ldc)
-          : gemm_tn_avx512<false>(m, n, k, a, lda, b, ldb, c, ldc);
-      return;
+      summed = gemm_tn_avx512(m, n, k, a, lda, b, ldb, c, ldc, e, b_col_sums);
+      break;
     case Backend::kAvx2:
-      set ? gemm_tn_avx2<true>(m, n, k, a, lda, b, ldb, c, ldc)
-          : gemm_tn_avx2<false>(m, n, k, a, lda, b, ldb, c, ldc);
-      return;
+      summed = gemm_tn_avx2(m, n, k, a, lda, b, ldb, c, ldc, e, b_col_sums);
+      break;
+#endif
     default:
+      if (set) zero_block(m, n, c, ldc);
+      gemm_tn_scalar(m, n, k, a, lda, b, ldb, c, ldc);
       break;
   }
-#endif
-  if (store == Store::kSet) zero_block(m, n, c, ldc);
-  gemm_tn_scalar(m, n, k, a, lda, b, ldb, c, ldc);
+  if (b_col_sums != nullptr) {
+    col_sums_scalar(k, n - summed, b + summed, ldb, b_col_sums + summed, set);
+  }
 }
 
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
-             std::size_t ldc, Store store) noexcept {
+             std::size_t ldc, Store store, const double* relu_y) noexcept {
   const Backend be = active_backend();
   count_dispatch(be);
-#if DEEPCAT_SIMD_X86
   const bool set = store == Store::kSet;
+#if DEEPCAT_SIMD_X86
   switch (be) {
     case Backend::kAvx512:
-      set ? gemm_nt_avx512<true>(m, n, k, a, lda, b, ldb, c, ldc)
-          : gemm_nt_avx512<false>(m, n, k, a, lda, b, ldb, c, ldc);
+      set ? gemm_nt_avx512<true>(m, n, k, a, lda, b, ldb, c, ldc, relu_y)
+          : gemm_nt_avx512<false>(m, n, k, a, lda, b, ldb, c, ldc, relu_y);
       return;
     case Backend::kAvx2:
-      set ? gemm_nt_avx2<true>(m, n, k, a, lda, b, ldb, c, ldc)
-          : gemm_nt_avx2<false>(m, n, k, a, lda, b, ldb, c, ldc);
+      set ? gemm_nt_avx2<true>(m, n, k, a, lda, b, ldb, c, ldc, relu_y)
+          : gemm_nt_avx2<false>(m, n, k, a, lda, b, ldb, c, ldc, relu_y);
       return;
     default:
       break;
   }
 #endif
-  if (store == Store::kSet) zero_block(m, n, c, ldc);
-  gemm_nt_scalar(m, n, k, a, lda, b, ldb, c, ldc);
+  set ? gemm_nt_scalar<true>(m, n, k, a, lda, b, ldb, c, ldc, relu_y)
+      : gemm_nt_scalar<false>(m, n, k, a, lda, b, ldb, c, ldc, relu_y);
 }
 
 void soft_update(double* dst, const double* src, std::size_t n,
@@ -2249,60 +2113,6 @@ void soft_update(double* dst, const double* src, std::size_t n,
   }
 #endif
   soft_update_scalar(dst, src, n, tau);
-}
-
-void relu(double* x, std::size_t n) noexcept {
-#if DEEPCAT_SIMD_X86
-  switch (active_backend()) {
-    case Backend::kAvx512:
-      relu_avx512(x, n);
-      return;
-    case Backend::kAvx2:
-      relu_avx2(x, n);
-      return;
-    default:
-      break;
-  }
-#endif
-  relu_scalar(x, n);
-}
-
-void relu_grad(const double* g, const double* y, double* out,
-               std::size_t n) noexcept {
-#if DEEPCAT_SIMD_X86
-  switch (active_backend()) {
-    case Backend::kAvx512:
-      relu_grad_avx512(g, y, out, n);
-      return;
-    case Backend::kAvx2:
-      relu_grad_avx2(g, y, out, n);
-      return;
-    default:
-      break;
-  }
-#endif
-  relu_grad_scalar(g, y, out, n);
-}
-
-void col_sums_add(std::size_t rows, std::size_t cols, const double* a,
-                  std::size_t lda, double* out, Store store) noexcept {
-  const bool set = store == Store::kSet;
-#if DEEPCAT_SIMD_X86
-  switch (active_backend()) {
-    case Backend::kAvx512:
-      set ? col_sums_add_avx512<true>(rows, cols, a, lda, out)
-          : col_sums_add_avx512<false>(rows, cols, a, lda, out);
-      return;
-    case Backend::kAvx2:
-      set ? col_sums_add_avx2<true>(rows, cols, a, lda, out)
-          : col_sums_add_avx2<false>(rows, cols, a, lda, out);
-      return;
-    default:
-      break;
-  }
-#endif
-  set ? col_sums_add_scalar<true>(rows, cols, a, lda, out)
-      : col_sums_add_scalar<false>(rows, cols, a, lda, out);
 }
 
 }  // namespace deepcat::common::simd

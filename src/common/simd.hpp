@@ -192,65 +192,80 @@ void soft_update(double* dst, const double* src, std::size_t n,
 /// store +0.0 + s. Under kSet the output's old contents are never read.
 enum class Store : int { kAdd = 0, kSet = 1 };
 
-// ---- Element-wise layer kernels ------------------------------------------
-// The dense-layer epilogues. Branch-free on every tier (a compare mask, not
-// a data-dependent jump: hidden activations have random signs, so a branch
-// mispredicts about half the time) and bit-identical to the scalar formulas
-// on every tier. Uncounted in DispatchCounts, like the level-1 primitives.
-
-/// x[i] = x[i] > 0 ? x[i] : +0.0 in place. -0.0 and NaN map to +0.0.
-void relu(double* x, std::size_t n) noexcept;
-
-/// out[i] = y[i] <= 0 ? +0.0 : g[i] — the ReLU gradient through the
-/// activation OUTPUT y. A NaN y keeps g. `out` may alias `g`.
-void relu_grad(const double* g, const double* y, double* out,
-               std::size_t n) noexcept;
-
-/// out[j] += s_j where s_j = sum_r a[r*lda + j], summed from +0.0 in
-/// ascending row order — the bias-gradient column sum, vectorized across
-/// columns with each column's addition order unchanged.
-void col_sums_add(std::size_t rows, std::size_t cols, const double* a,
-                  std::size_t lda, double* out,
-                  Store store = Store::kAdd) noexcept;
-
 // ---- Level-3 GEMM kernels ----------------------------------------------
-// All accumulate into C (C += ...), so the caller controls the epilogue
-// start state: bias-broadcast rows for the fused linear-layer forward, or
-// Store::kSet (gemm_tn, gemm_nt) for a plain product without a separate
-// zero-fill. Leading dimensions are element strides. Every variant
-// dispatches across the ISA ladder.
+// Leading dimensions are element strides. Every variant dispatches across
+// the ISA ladder.
 //
 // The 1-wide shapes of a critic's 128->1 head take exact fast paths on the
 // vector tiers, each keeping every output's arithmetic: n == 1 (gemm_nn,
-// gemm_tn) is one FMA chain per row from +0.0 in ascending k, then C += s,
-// with the rows vectorized across lanes; k == 1 (gemm_nt) is
-// C += fma(a, b, +0.0). A single-row gemm_nn (the Twin-Q screen, act)
+// gemm_tn) is one FMA chain per row from +0.0 in ascending k, then
+// start + s, with the rows vectorized across lanes; k == 1 (gemm_nt) is
+// C (+)= fma(a, b, +0.0). A single-row gemm_nn (the Twin-Q screen, act)
 // keeps sixteen (avx512) or eight (avx2) accumulators in flight instead of
-// two, each column still one chain from its stored value.
+// two, each column still one chain from its start value.
+//
+// Dense-layer epilogues. Each GEMM carries the element-wise pass a dense
+// layer runs around it, applied inside its tile loops so no separate pass
+// reads or writes the output again. Every output keeps the arithmetic of
+// the unfused composition, so the fused and unfused results are equal bit
+// for bit on every tier:
+//   * gemm_nn's bias: each output (i, j) starts from bias[j] instead of
+//     the stored C — the register tiles' FMA chains start there, the
+//     leftover-column and 1-wide chains start from +0.0 and store
+//     bias[j] + s, exactly what a bias-seeded C gave.
+//   * gemm_nn's ReLU: every output is stored as x > 0 ? x : +0.0
+//     (max(x, +0.0) on the vector tiers), so -0.0 and NaN store +0.0.
+//   * gemm_nt's ReLU-gradient mask: output (i, j) = c_in + s as before,
+//     then stored as relu_y[i * ldc + j] <= 0 ? +0.0 : that value (a NaN
+//     y keeps it) — the gradient through the ReLU whose OUTPUT relu_y is.
+//   * gemm_tn's column sums: s_j = sum_p B[p][j], added from +0.0 in
+//     ascending p, stored into b_col_sums[j] under the same Store as C
+//     (b_col_sums[j] + s_j, or +0.0 + s_j). The vector tiers accumulate
+//     them in the first row block's register tiles as B streams through;
+//     columns no such tile covers (n % 16 on avx512, n % 8 on avx2, all of
+//     them when n == 1 or m == 0) and the scalar tier sum in a scalar loop
+//     with the same order.
+// Every tile path takes the epilogue: avx512's 8x16 bands, the 4x16 / 4x8
+// (avx512) and 4x8 / 4x4 (avx2) tiles, the leftover-column chains, the
+// n == 1 and k == 1 paths, the 1-row tiles, and the scalar tier.
 
-/// C(m x n) += A(m x k) * B(k x n). Register-blocked broadcast-A /
-/// streamed-B micro-kernel on the vector tiers (4x8 on avx2; 8x16 over
-/// 8-row bands, 4x16 for the rest, on avx512; gemm_tn likewise); the
-/// scalar path is the cache-friendly ikj loop with a zero-skip on A
-/// (which makes post-ReLU activations cheap).
+/// C(m x n) = epilogue(start + A(m x k) * B(k x n)), where start is C
+/// itself (C += A * B) or, when `bias` (n values) is given, the bias row
+/// broadcast to every output row — C's old contents are then never read.
+/// With `relu` the result is stored through the ReLU. Register-blocked
+/// broadcast-A / streamed-B micro-kernel on the vector tiers (4x8 on avx2;
+/// 8x16 over 8-row bands, 4x16 for the rest, on avx512; gemm_tn likewise);
+/// the scalar path is the cache-friendly ikj loop with a zero-skip on A
+/// (which makes post-ReLU activations cheap), seeding and storing each C
+/// row through the epilogue while it sits in L1.
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
-             std::size_t ldc) noexcept;
+             std::size_t ldc, const double* bias = nullptr,
+             bool relu = false) noexcept;
 
-/// C(m x n) += A^T * B where A is stored (k x m): C[i][j] += A[p][i]*B[p][j].
+/// C(m x n) (+)= A^T * B where A is stored (k x m): C[i][j] (+)=
+/// sum_p A[p][i]*B[p][j]. With `b_col_sums` (n values) it also stores B's
+/// column sums there under the same `store` — a dense layer's weight and
+/// bias gradients (A = the layer input, B = dL/dy) from one sweep.
 void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
-             std::size_t ldc, Store store = Store::kAdd) noexcept;
+             std::size_t ldc, Store store = Store::kAdd,
+             double* b_col_sums = nullptr) noexcept;
 
-/// C(m x n) += A * B^T where B is stored (n x k): C[i][j] += dot(A[i], B[j]).
-/// The vector tiers block 4 A rows x 4 B rows (avx512) or 4 x 2 (avx2, whose
-/// 16 registers cannot hold 16 accumulators), so each load feeds several
-/// FMAs. Every output keeps the per-output arithmetic of a 1x4 dot kernel:
-/// one vector accumulator over p in lane-width steps, the tier's horizontal
-/// sum, the scalar tail in ascending p, then C += s. Columns past the last
-/// multiple of 4 take dot(). Blocking therefore changes no bits.
+/// C(m x n) (+)= A * B^T where B is stored (n x k): C[i][j] (+)=
+/// dot(A[i], B[j]). With `relu_y` (laid out like C, stride ldc) each
+/// output is stored through the ReLU-gradient mask of relu_y — a dense
+/// layer's dL/dx (A = dL/dy, B = W) carried through the ReLU below it.
+/// The vector tiers block 4 A rows x 4 B rows (avx512) or 4 x 2 (avx2,
+/// whose 16 registers cannot hold 16 accumulators), so each load feeds
+/// several FMAs. Every output keeps the per-output arithmetic of a 1x4 dot
+/// kernel: one vector accumulator over p in lane-width steps, the tier's
+/// horizontal sum, the scalar tail in ascending p, then C (+)= s. Columns
+/// past the last multiple of 4 take dot(). Blocking therefore changes no
+/// bits.
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
-             std::size_t ldc, Store store = Store::kAdd) noexcept;
+             std::size_t ldc, Store store = Store::kAdd,
+             const double* relu_y = nullptr) noexcept;
 
 }  // namespace deepcat::common::simd

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "common/simd.hpp"
 #include "nn/init.hpp"
 
 namespace deepcat::nn {
@@ -42,24 +43,30 @@ const Matrix& Linear::backward(const Matrix& grad_out) {
 }
 
 const Matrix& Linear::backward(const Matrix& grad_out, Backprop mode,
-                               GradStore store) {
+                               GradStore store, bool relu_input) {
   if (x_ == nullptr) {
     throw std::logic_error("Linear::backward: no forward pass to differentiate");
   }
   if (grad_out.rows() != x_->rows() || grad_out.cols() != out_features()) {
     throw std::invalid_argument("Linear::backward: gradient shape mismatch");
   }
+  namespace simd = common::simd;
+  const std::size_t batch = x_->rows(), in = in_features(),
+                    out = out_features();
   if (mode != Backprop::kInputOnly) {
-    if (store == GradStore::kOverwrite) {
-      matmul_tn_into(*x_, grad_out, gw_);
-      col_sums_into(grad_out, gb_);
-    } else {
-      matmul_tn_add(*x_, grad_out, gw_);
-      col_sums_add(grad_out, gb_);
-    }
+    // dL/dW = x^T g and dL/db = column sums of g, from one sweep over g.
+    simd::gemm_tn(in, out, batch, x_->data(), in, grad_out.data(), out,
+                  gw_.data(), out,
+                  store == GradStore::kOverwrite ? simd::Store::kSet
+                                                 : simd::Store::kAdd,
+                  gb_.data());
   }
   if (mode == Backprop::kParamsOnly) return empty_matrix();
-  matmul_nt_into(grad_out, w_, dx_);
+  // dL/dx = g W^T, masked by the ReLU that produced x when relu_input.
+  dx_.resize(batch, in);
+  simd::gemm_nt(batch, in, out, grad_out.data(), out, w_.data(), out,
+                dx_.data(), in, simd::Store::kSet,
+                relu_input ? x_->data() : nullptr);
   return dx_;
 }
 

@@ -81,12 +81,17 @@ class Linear final : public Layer {
   /// returned output (see Mlp::forward).
   const Matrix& forward_fused(const Matrix& x, Activation act);
   const Matrix& backward(const Matrix& grad_out) override;
-  /// backward() restricted to the gradients `mode` asks for. gw/gb
-  /// accumulate in place (gemm_tn's C +=, a column sum added to gb), or
-  /// are overwritten under GradStore::kOverwrite. Returns dL/dx, or an
-  /// empty matrix under Backprop::kParamsOnly.
+  /// backward() restricted to the gradients `mode` asks for, from one
+  /// gemm_tn sweep (weight and bias gradients) and one gemm_nt (dL/dx).
+  /// gw/gb accumulate in place, or are overwritten under
+  /// GradStore::kOverwrite. With `relu_input` the forward input x was a
+  /// ReLU's output, and the returned gradient is the one at that ReLU's
+  /// input (dL/dx masked to +0.0 where x <= 0) — the ReLU layer's own
+  /// backward folded into this one's store. Returns an empty matrix under
+  /// Backprop::kParamsOnly.
   const Matrix& backward(const Matrix& grad_out, Backprop mode,
-                         GradStore store = GradStore::kAccumulate);
+                         GradStore store = GradStore::kAccumulate,
+                         bool relu_input = false);
   std::vector<Param> params() override;
   void zero_grad() override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;

@@ -120,49 +120,25 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
 }
 
 Matrix matmul_tn(const Matrix& a, const Matrix& b) {
-  Matrix c;
-  matmul_tn_into(a, b, c);
-  return c;
-}
-
-void matmul_tn_into(const Matrix& a, const Matrix& b, Matrix& c) {
   if (a.rows() != b.rows()) {
     throw std::invalid_argument("matmul_tn: inner dimension mismatch");
   }
-  // Store::kSet writes what zero-fill-then-accumulate would (simd.hpp).
-  c.resize(a.cols(), b.cols());
+  Matrix c(a.cols(), b.cols());
   common::simd::gemm_tn(a.cols(), b.cols(), a.rows(), a.data(), a.cols(),
                         b.data(), b.cols(), c.data(), c.cols(),
                         common::simd::Store::kSet);
-}
-
-void matmul_tn_add(const Matrix& a, const Matrix& b, Matrix& c) {
-  if (a.rows() != b.rows()) {
-    throw std::invalid_argument("matmul_tn: inner dimension mismatch");
-  }
-  if (c.rows() != a.cols() || c.cols() != b.cols()) {
-    throw std::invalid_argument("matmul_tn_add: output shape mismatch");
-  }
-  common::simd::gemm_tn(a.cols(), b.cols(), a.rows(), a.data(), a.cols(),
-                        b.data(), b.cols(), c.data(), c.cols());
+  return c;
 }
 
 Matrix matmul_nt(const Matrix& a, const Matrix& b) {
-  Matrix c;
-  matmul_nt_into(a, b, c);
-  return c;
-}
-
-void matmul_nt_into(const Matrix& a, const Matrix& b, Matrix& c) {
   if (a.cols() != b.cols()) {
     throw std::invalid_argument("matmul_nt: inner dimension mismatch");
   }
-  // Store::kSet: the output starts from +0.0 exactly as a freshly
-  // allocated matrix would, without a separate zero-fill pass.
-  c.resize(a.rows(), b.rows());
+  Matrix c(a.rows(), b.rows());
   common::simd::gemm_nt(a.rows(), b.rows(), a.cols(), a.data(), a.cols(),
                         b.data(), b.cols(), c.data(), c.cols(),
                         common::simd::Store::kSet);
+  return c;
 }
 
 Matrix matmul_bias_act(const Matrix& x, const Matrix& w, const Matrix& bias,
@@ -184,14 +160,10 @@ void matmul_bias_act_into(const Matrix& x, const Matrix& w,
     throw std::invalid_argument("matmul_bias_act: output aliases input");
   }
   out.resize(x.rows(), w.cols());
-  // Seed every output row with the bias so the GEMM accumulates on top of
-  // it — the broadcast costs one streaming write instead of a second pass.
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    std::copy(bias.row(0).begin(), bias.row(0).end(), out.row(r).begin());
-  }
   common::simd::gemm_nn(x.rows(), w.cols(), x.cols(), x.data(), x.cols(),
-                        w.data(), w.cols(), out.data(), out.cols());
-  apply_activation(out, act);
+                        w.data(), w.cols(), out.data(), out.cols(),
+                        bias.data(), act == Activation::kRelu);
+  if (act != Activation::kRelu) apply_activation(out, act);
 }
 
 void apply_activation(Matrix& y, Activation act) noexcept {
@@ -199,7 +171,7 @@ void apply_activation(Matrix& y, Activation act) noexcept {
     case Activation::kNone:
       break;
     case Activation::kRelu:
-      common::simd::relu(y.data(), y.size());
+      for (double& v : y.flat()) v = v > 0.0 ? v : 0.0;
       break;
     case Activation::kTanh:
       for (double& v : y.flat()) v = std::tanh(v);
@@ -219,7 +191,7 @@ void apply_activation_grad(Matrix& grad, const Matrix& y,
     case Activation::kNone:
       break;
     case Activation::kRelu:
-      common::simd::relu_grad(g, v, g, n);
+      for (std::size_t i = 0; i < n; ++i) g[i] = v[i] <= 0.0 ? 0.0 : g[i];
       break;
     case Activation::kTanh:
       for (std::size_t i = 0; i < n; ++i) g[i] *= 1.0 - v[i] * v[i];
@@ -235,11 +207,6 @@ void apply_activation_grad(const Matrix& grad, const Matrix& y,
   require_same_shape(grad, y, "apply_activation_grad");
   if (&out != &grad) {
     out.resize(grad.rows(), grad.cols());
-    if (act == Activation::kRelu) {
-      // One pass: read grad and y, write out.
-      common::simd::relu_grad(grad.data(), y.data(), out.data(), grad.size());
-      return;
-    }
     std::copy(grad.flat().begin(), grad.flat().end(), out.flat().begin());
   }
   apply_activation_grad(out, y, act);
@@ -263,23 +230,15 @@ void add_row_broadcast(Matrix& m, const Matrix& bias) {
 }
 
 Matrix col_sums(const Matrix& m) {
-  Matrix s;
-  col_sums_into(m, s);
-  return s;
-}
-
-void col_sums_into(const Matrix& m, Matrix& s) {
-  s.resize(1, m.cols());
-  common::simd::col_sums_add(m.rows(), m.cols(), m.data(), m.cols(),
-                             s.data(), common::simd::Store::kSet);
-}
-
-void col_sums_add(const Matrix& m, Matrix& s) {
-  if (s.rows() != 1 || s.cols() != m.cols()) {
-    throw std::invalid_argument("col_sums_add: output shape mismatch");
+  // Each column from +0.0 in ascending row order, as gemm_tn's fused
+  // bias-gradient sums add them.
+  Matrix s(1, m.cols());
+  for (std::size_t j = 0; j < m.cols(); ++j) {
+    double sum = 0.0;
+    for (std::size_t r = 0; r < m.rows(); ++r) sum += m(r, j);
+    s(0, j) = sum;
   }
-  common::simd::col_sums_add(m.rows(), m.cols(), m.data(), m.cols(),
-                             s.data());
+  return s;
 }
 
 }  // namespace deepcat::nn

@@ -6,11 +6,49 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
+#include <new>
 #include <span>
 #include <vector>
 
 namespace deepcat::nn {
+
+/// Matrix storage allocator: cache-line (64-byte) aligned, so the GEMMs'
+/// zmm loads and stores of a row whose length is a multiple of 8 (the
+/// 128- and 32-wide layers) never straddle two cache lines. glibc's
+/// 16-byte malloc alignment left that to allocation history: the same
+/// 64x128x128 dX GEMM ran ≈1.6x slower at a 16-byte offset. It
+/// over-allocates one cache line from the plain operator new and keeps the
+/// distance back to it in the byte before the block; an over-aligned
+/// operator new (memalign) fragmented the serving heap.
+template <typename T>
+struct CacheAlignedAllocator {
+  using value_type = T;
+  static constexpr std::size_t kAlign = 64;
+
+  CacheAlignedAllocator() = default;
+  template <typename U>
+  CacheAlignedAllocator(const CacheAlignedAllocator<U>&) noexcept {}
+
+  [[nodiscard]] T* allocate(std::size_t n) {
+    auto* raw =
+        static_cast<unsigned char*>(::operator new(n * sizeof(T) + kAlign));
+    // The first aligned address past raw: 1..kAlign bytes in.
+    const std::size_t lead =
+        kAlign - reinterpret_cast<std::uintptr_t>(raw) % kAlign;
+    raw[lead - 1] = static_cast<unsigned char>(lead);
+    return reinterpret_cast<T*>(raw + lead);
+  }
+  void deallocate(T* p, std::size_t) noexcept {
+    auto* block = reinterpret_cast<unsigned char*>(p);
+    ::operator delete(block - block[-1]);
+  }
+  template <typename U>
+  bool operator==(const CacheAlignedAllocator<U>&) const noexcept {
+    return true;
+  }
+};
 
 class Matrix {
  public:
@@ -78,7 +116,7 @@ class Matrix {
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<double> data_;
+  std::vector<double, CacheAlignedAllocator<double>> data_;
 };
 
 [[nodiscard]] Matrix operator+(Matrix a, const Matrix& b);
@@ -93,24 +131,13 @@ class Matrix {
 /// C = A * B^T without materializing B^T.
 [[nodiscard]] Matrix matmul_nt(const Matrix& a, const Matrix& b);
 
-// Workspace forms of the products above, for callers that own their
-// output: `c` is resized (its allocation reused) and overwritten, or
-// accumulated into by the `_add` forms, with arithmetic bit-identical to
-// the allocating calls.
-
-/// c = A * B^T.
-void matmul_nt_into(const Matrix& a, const Matrix& b, Matrix& c);
-/// c = A^T * B.
-void matmul_tn_into(const Matrix& a, const Matrix& b, Matrix& c);
-/// c += A^T * B; c must already be (a.cols() x b.cols()).
-void matmul_tn_add(const Matrix& a, const Matrix& b, Matrix& c);
-
 /// Element-wise nonlinearity applied in a GEMM epilogue / activation layer.
 enum class Activation { kNone, kRelu, kTanh, kSigmoid };
 
-/// Fused dense-layer forward: act(x * w + bias) in one pass. The bias row
-/// (1 x w.cols()) seeds the accumulators, so no intermediate x*w or
-/// bias-broadcast matrix is ever materialized.
+/// Fused dense-layer forward: act(x * w + bias). The bias row
+/// (1 x w.cols()) is the GEMM's start value and a ReLU is applied at its
+/// store (simd::gemm_nn), so no intermediate x*w or bias-broadcast matrix
+/// is ever materialized; Tanh and Sigmoid run one libm pass after it.
 [[nodiscard]] Matrix matmul_bias_act(const Matrix& x, const Matrix& w,
                                      const Matrix& bias, Activation act);
 
@@ -119,13 +146,13 @@ enum class Activation { kNone, kRelu, kTanh, kSigmoid };
 void matmul_bias_act_into(const Matrix& x, const Matrix& w,
                           const Matrix& bias, Activation act, Matrix& out);
 
-/// y = act(y) element-wise, in place. ReLU is branch-free
-/// (simd::relu): -0.0 and NaN map to +0.0.
+/// y = act(y) element-wise, in place. ReLU maps -0.0 and NaN to +0.0, as
+/// the fused forward's store does.
 void apply_activation(Matrix& y, Activation act) noexcept;
 
 /// grad *= act'(y) element-wise, where `y` is the activation OUTPUT (all
 /// supported activations have output-expressible derivatives). The ReLU
-/// gradient is kept iff !(y <= 0), branch-free (simd::relu_grad).
+/// gradient is kept iff !(y <= 0), as gemm_nt's fused mask keeps it.
 void apply_activation_grad(Matrix& grad, const Matrix& y,
                            Activation act) noexcept;
 
@@ -142,11 +169,5 @@ void add_row_broadcast(Matrix& m, const Matrix& bias);
 
 /// Column-wise sum producing a 1 x cols row vector.
 [[nodiscard]] Matrix col_sums(const Matrix& m);
-
-/// s = col_sums(m) into `s` (resized, allocation reused).
-void col_sums_into(const Matrix& m, Matrix& s);
-
-/// s += col_sums(m); s must already be 1 x m.cols().
-void col_sums_add(const Matrix& m, Matrix& s);
 
 }  // namespace deepcat::nn

@@ -74,7 +74,14 @@ const Matrix& Mlp::backward(const Matrix& grad_out, Backprop mode,
       // kInputOnly holds for every layer; kParamsOnly only drops the first
       // layer's dX, which every layer above still needs.
       const bool own = i == 0 || mode == Backprop::kInputOnly;
-      g = &linear->backward(*g, own ? mode : Backprop::kFull, store);
+      // A ReLU below (always primed from the Linear under it by forward())
+      // is differentiated in this layer's dX store and skipped.
+      const auto* act =
+          i > 0 ? dynamic_cast<ActivationLayer*>(layers_[i - 1].get())
+                : nullptr;
+      const bool relu = act != nullptr && act->kind() == Activation::kRelu;
+      g = &linear->backward(*g, own ? mode : Backprop::kFull, store, relu);
+      if (relu) --i;
     } else {
       g = &layers_[i]->backward(*g);
     }

@@ -36,7 +36,8 @@ class Mlp {
   [[nodiscard]] const Matrix& forward(const Matrix& x);
   /// Backward through the whole stack; returns dL/dx, or an empty matrix
   /// under Backprop::kParamsOnly (the first layer's dL/dx is never
-  /// computed). Backprop::kInputOnly leaves every parameter gradient as it
+  /// computed). Each hidden ReLU is differentiated in the dL/dx store of
+  /// the Linear above it (Linear::backward's relu_input). Backprop::kInputOnly leaves every parameter gradient as it
   /// was. GradStore::kOverwrite writes the parameter gradients instead of
   /// accumulating them, which stands in for a preceding zero_grad(). A
   /// moved Mlp needs a fresh forward() before backward().

@@ -89,12 +89,18 @@ std::vector<double> Td3Agent::act_noisy(std::span<const double> state,
 
 std::pair<double, double> Td3Agent::twin_q(std::span<const double> state,
                                            std::span<const double> action) {
+  return {critic_q(0, state, action), critic_q(1, state, action)};
+}
+
+double Td3Agent::critic_q(std::size_t critic, std::span<const double> state,
+                          std::span<const double> action) {
+  if (critic > 1) {
+    throw std::invalid_argument("Td3Agent::critic_q: critic must be 0 or 1");
+  }
   pair_in_.resize(1, state.size() + action.size());
   const auto tail = std::copy(state.begin(), state.end(), pair_in_.data());
   std::copy(action.begin(), action.end(), tail);
-  const double q1 = critic1_.forward(pair_in_)(0, 0);
-  const double q2 = critic2_.forward(pair_in_)(0, 0);
-  return {q1, q2};
+  return (critic == 0 ? critic1_ : critic2_).forward(pair_in_)(0, 0);
 }
 
 double Td3Agent::min_q(std::span<const double> state,

@@ -63,6 +63,12 @@ class Td3Agent {
   [[nodiscard]] std::pair<double, double> twin_q(std::span<const double> state,
                                                  std::span<const double> action);
 
+  /// Q-value of (state, action) from one critic alone (0: critic 1, 1:
+  /// critic 2) — the same bits twin_q reports for it, at half the cost.
+  [[nodiscard]] double critic_q(std::size_t critic,
+                                std::span<const double> state,
+                                std::span<const double> action);
+
   /// min(Q1, Q2) — the Twin-Q indicator used by DeepCAT's online optimizer.
   [[nodiscard]] double min_q(std::span<const double> state,
                              std::span<const double> action);

@@ -123,14 +123,6 @@ bool StreamingService::has_model(const std::string& name) const {
   return entries_.find(name) != entries_.end();
 }
 
-std::vector<std::string> StreamingService::loaded_models() const {
-  std::shared_lock reg(registry_mutex_);
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) names.push_back(name);
-  return names;
-}
-
 core::DeepCat& StreamingService::master(const std::string& name) {
   std::shared_lock reg(registry_mutex_);
   const auto it = entries_.find(name);

@@ -107,7 +107,6 @@ class StreamingService {
   void load_model_file(const std::string& name, const std::string& path);
 
   [[nodiscard]] bool has_model(const std::string& name) const;
-  [[nodiscard]] std::vector<std::string> loaded_models() const;
 
   /// The live master for `name` (throws std::out_of_range when not
   /// resident). Mutating it while requests are in flight is on the caller.

@@ -1,5 +1,6 @@
 #include "tuners/deepcat.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/math_util.hpp"
@@ -121,12 +122,18 @@ TwinQOptimizerTrace DeepCatTuner::optimize_action(
       a = common::clamp(a + rng_.normal(0.0, options_.optimizer_sigma), 0.0,
                         1.0);
     }
-    const double q = agent().min_q(state, candidate);
-    if (q > best_q) {
-      best_q = q;
-      best = candidate;
+    // Inside this loop best_q < q_threshold, and min(Q1, Q2) <= Q1: when
+    // Q1 cannot beat best_q the candidate can neither improve nor pass, so
+    // critic 2 need not run. A NaN Q1 fails the test and runs both.
+    const double q1 = agent().critic_q(0, state, candidate);
+    if (!(q1 <= best_q)) {
+      const double q = std::min(q1, agent().critic_q(1, state, candidate));
+      if (q > best_q) {
+        best_q = q;
+        best = candidate;
+      }
+      if (q >= options_.q_threshold) break;
     }
-    if (q >= options_.q_threshold) break;
     // Random-walk from the best candidate so far rather than wandering off.
     candidate = best;
   }

@@ -137,6 +137,27 @@ TEST(CliCommandsTest, TuneRejectsAnUnknownFlag) {
   EXPECT_EQ(os.str().find("online tuning report"), std::string::npos);
 }
 
+TEST(CliCommandsTest, RepeatedFlagIsAnError) {
+  // The second value must not silently replace the first.
+  std::ostringstream os;
+  EXPECT_EQ(run_cli({"info", "--threads", "1", "--threads", "3"}, os), 1);
+  EXPECT_NE(os.str().find("error: flag --threads given more than once"),
+            std::string::npos)
+      << os.str();
+  EXPECT_EQ(os.str().find("thread-pool size"), std::string::npos);
+}
+
+TEST(CliCommandsTest, RepeatedSetStillAccumulates) {
+  std::ostringstream os;
+  EXPECT_EQ(run_cli({"simulate", "--workload", "TS", "--set",
+                     "spark.executor.cores=2", "--set",
+                     "spark.executor.cores=4"},
+                    os),
+            0)
+      << os.str();
+  EXPECT_NE(os.str().find("TeraSort"), std::string::npos) << os.str();
+}
+
 TEST(CliCommandsTest, ServeRejectsTheShardsFlag) {
   // Both serve modes name the flag instead of silently ignoring it.
   std::ostringstream batch;

@@ -1,13 +1,14 @@
 // Bit-exactness properties of the dense-layer kernels on every selectable
 // ISA tier: the register-blocked gemm_nt against a per-output model of the
 // 1x4 dot kernel it replaced, gemm_nn / gemm_tn against their per-element
-// FMA chains, the branch-free ReLU / ReLU-gradient / column-sum kernels
-// against their scalar formulas, and the train step's fast paths (the
-// 1-wide critic head's k == 1 and n == 1 GEMMs, the 1-row GEMM,
-// Store::kSet, Adam without the bc1 == 1 divide, the soft update) against
-// the same models with signed zeros, NaNs and infinities in the inputs.
-// Equality is memcmp, not a tolerance: the TD3 train step must produce the
-// same bits as before.
+// FMA chains, the fused epilogues (gemm_nn's bias and ReLU, gemm_nt's
+// ReLU-gradient mask, gemm_tn's column sums) against the unfused
+// compositions they replaced, and the train step's fast paths (the 1-wide
+// critic head's k == 1 and n == 1 GEMMs, the 1-row GEMM, Store::kSet, Adam
+// without the bc1 == 1 divide, the soft update) against the same models
+// with signed zeros, NaNs and infinities in the inputs. Equality is
+// memcmp, not a tolerance: the TD3 train step must produce the same bits
+// as before.
 #include "common/simd.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -252,71 +254,179 @@ std::vector<double> special_values(std::size_t n, Rng& rng) {
 
 const std::size_t kLengths[] = {0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 131};
 
-TEST(SimdLayerKernelTest, ReluMatchesScalarFormulaBitForBit) {
+// ---- Fused dense-layer epilogues ------------------------------------------
+// Each fused kernel against the unfused composition it replaced, on every
+// tile path: m, n and k straddle the 8x16 bands, the 4-row tiles, the
+// half-width tiles, the leftover-column chains, n == 1 and k == 1, with
+// contiguous (the 1-wide paths' vector loads and stores) and padded
+// strides. Outputs the fused kernel must not read start as NaN garbage;
+// the padding past column n must come back untouched.
+
+const std::vector<std::size_t> kEpiMs = {1, 3, 8, 13, 64};
+const std::size_t kEpiNs[] = {1, 7, 16, 32, 41, 128};
+const std::size_t kEpiKs[] = {1, 9, 41, 128};
+const std::size_t kEpiPads[] = {0, 3};
+
+// Random normals, or special_values() cycled through.
+std::vector<double> fill_values(std::size_t n, bool special, Rng& rng) {
+  return special ? special_values(n, rng) : random_vec(n, rng);
+}
+
+// Overwrites the first n columns of every row with NaN garbage.
+void garble(std::vector<double>& c, std::size_t m, std::size_t n,
+            std::size_t ldc) {
+  for (std::size_t i = 0; i < m; ++i) {
+    std::fill_n(c.begin() + static_cast<std::ptrdiff_t>(i * ldc), n,
+                std::numeric_limits<double>::quiet_NaN());
+  }
+}
+
+// Runs `check(m, n, k, pad, special)` over the epilogue shapes.
+template <typename Check>
+void for_each_epilogue_case(const std::vector<std::size_t>& ms,
+                            Check&& check) {
+  for (const bool special : {false, true}) {
+    for (const std::size_t pad : kEpiPads) {
+      for (const std::size_t m : ms) {
+        for (const std::size_t n : kEpiNs) {
+          for (const std::size_t k : kEpiKs) check(m, n, k, pad, special);
+        }
+      }
+    }
+  }
+}
+
+// gemm_nn(bias, relu) == bias-seeded rows -> gemm_nn -> x > 0 ? x : +0.0.
+TEST(SimdLayerKernelTest, GemmNnBiasReluMatchesUnfusedCompositionBitForBit) {
   BackendGuard guard;
   Rng rng(42);
   for (const Backend be : selectable_backends()) {
     force_backend(be);
-    for (const std::size_t n : kLengths) {
-      const auto x = special_values(n, rng);
-      auto got = x;
-      relu(got.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double want = x[i] > 0.0 ? x[i] : 0.0;
-        EXPECT_TRUE(same_bits(got[i], want))
-            << backend_label(be) << " n=" << n << " x=" << x[i];
+    for_each_epilogue_case(kEpiMs, [&](std::size_t m, std::size_t n,
+                                      std::size_t k, std::size_t pad,
+                                      bool special) {
+      const std::size_t lda = k + pad, ldb = n + pad, ldc = n + pad;
+      const auto a = fill_values(m * lda, special, rng);
+      const auto b = fill_values(k * ldb, special, rng);
+      const auto bias = fill_values(n, special, rng);
+      const auto c0 = random_vec(m * ldc, rng);
+      for (const bool relu : {false, true}) {
+        auto want = c0;
+        for (std::size_t i = 0; i < m; ++i) {
+          std::copy(bias.begin(), bias.end(),
+                    want.begin() + static_cast<std::ptrdiff_t>(i * ldc));
+        }
+        gemm_nn(m, n, k, a.data(), lda, b.data(), ldb, want.data(), ldc);
+        for (std::size_t i = 0; relu && i < m; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            double& x = want[i * ldc + j];
+            x = x > 0.0 ? x : 0.0;
+          }
+        }
+        auto got = c0;
+        garble(got, m, n, ldc);
+        gemm_nn(m, n, k, a.data(), lda, b.data(), ldb, got.data(), ldc,
+                bias.data(), relu);
+        EXPECT_TRUE(same_bits(got, want))
+            << backend_label(be) << " m=" << m << " n=" << n << " k=" << k
+            << " pad=" << pad << (relu ? " relu" : "")
+            << (special ? " special" : "");
       }
-    }
+    });
   }
 }
 
-TEST(SimdLayerKernelTest, ReluGradMatchesScalarFormulaBitForBit) {
+// gemm_nt(store, y) == gemm_nt(store) -> y <= 0 ? +0.0 : g.
+TEST(SimdLayerKernelTest, GemmNtReluMaskMatchesUnfusedCompositionBitForBit) {
   BackendGuard guard;
   Rng rng(43);
   for (const Backend be : selectable_backends()) {
     force_backend(be);
-    for (const std::size_t n : kLengths) {
-      const auto y = special_values(n, rng);
-      auto g = special_values(n, rng);
-      std::reverse(g.begin(), g.end());
-      std::vector<double> want(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        want[i] = g[i];
-        if (y[i] <= 0.0) want[i] = 0.0;
+    for_each_epilogue_case(kEpiMs, [&](std::size_t m, std::size_t n,
+                                      std::size_t k, std::size_t pad,
+                                      bool special) {
+      const std::size_t lda = k + pad, ldb = k + pad, ldc = n + pad;
+      const auto a = fill_values(m * lda, special, rng);
+      const auto b = fill_values(n * ldb, special, rng);
+      // The mask is an activation output, laid out like C.
+      const auto y = special_values(m * ldc, rng);
+      const auto c0 = fill_values(m * ldc, special, rng);
+      for (const Store store : {Store::kSet, Store::kAdd}) {
+        auto want = c0;
+        gemm_nt(m, n, k, a.data(), lda, b.data(), ldb, want.data(), ldc,
+                store);
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            if (y[i * ldc + j] <= 0.0) want[i * ldc + j] = 0.0;
+          }
+        }
+        auto got = c0;
+        if (store == Store::kSet) garble(got, m, n, ldc);
+        gemm_nt(m, n, k, a.data(), lda, b.data(), ldb, got.data(), ldc, store,
+                y.data());
+        EXPECT_TRUE(same_bits(got, want))
+            << backend_label(be) << " m=" << m << " n=" << n << " k=" << k
+            << " pad=" << pad << (store == Store::kSet ? " set" : " add")
+            << (special ? " special" : "");
       }
-      std::vector<double> out(n, 7.0);
-      relu_grad(g.data(), y.data(), out.data(), n);
-      EXPECT_TRUE(same_bits(out, want)) << backend_label(be) << " n=" << n;
-      // In place (out aliases g), as apply_activation_grad runs it.
-      relu_grad(g.data(), y.data(), g.data(), n);
-      EXPECT_TRUE(same_bits(g, want))
-          << backend_label(be) << " in place, n=" << n;
-    }
+    });
   }
 }
 
-TEST(SimdLayerKernelTest, ColSumsAddKeepsRowOrderPerColumn) {
+// gemm_tn(store, sums) == gemm_tn(store) plus each column of B summed from
+// +0.0 in ascending row order and stored like C. m == 0 leaves no tile to
+// carry the sums.
+TEST(SimdLayerKernelTest, GemmTnColumnSumsKeepRowOrderPerColumn) {
   BackendGuard guard;
   Rng rng(44);
+  const double garbage = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::size_t> ms = kEpiMs;
+  ms.insert(ms.begin(), 0);
   for (const Backend be : selectable_backends()) {
     force_backend(be);
-    for (const std::size_t rows : {0u, 1u, 3u, 64u}) {
-      for (const std::size_t cols : {1u, 3u, 8u, 9u, 17u, 128u}) {
-        const std::size_t lda = cols + 1;
-        const auto a = random_vec(rows * lda, rng);
-        const auto out0 = random_vec(cols, rng);
-        auto got = out0;
-        auto want = out0;
-        col_sums_add(rows, cols, a.data(), lda, got.data());
-        for (std::size_t j = 0; j < cols; ++j) {
+    for_each_epilogue_case(ms, [&](std::size_t m, std::size_t n,
+                                   std::size_t k, std::size_t pad,
+                                   bool special) {
+      const std::size_t lda = m + pad, ldb = n + pad, ldc = n + pad;
+      const auto a = fill_values(k * lda, special, rng);
+      const auto b = fill_values(k * ldb, special, rng);
+      const auto c0 = random_vec(m * ldc, rng);
+      // One element past n checks that the sums stay in bounds.
+      const auto sums0 = random_vec(n + 1, rng);
+      for (const Store store : {Store::kSet, Store::kAdd}) {
+        const bool set = store == Store::kSet;
+        auto want = c0;
+        auto want_sums = sums0;
+        gemm_tn(m, n, k, a.data(), lda, b.data(), ldb, want.data(), ldc,
+                store);
+        for (std::size_t j = 0; j < n; ++j) {
           double s = 0.0;
-          for (std::size_t r = 0; r < rows; ++r) s += a[r * lda + j];
-          want[j] += s;
+          for (std::size_t p = 0; p < k; ++p) s += b[p * ldb + j];
+          want_sums[j] = (set ? 0.0 : want_sums[j]) + s;
         }
-        EXPECT_TRUE(same_bits(got, want))
-            << backend_label(be) << " rows=" << rows << " cols=" << cols;
+        auto got = c0;
+        auto got_sums = sums0;
+        if (set) {
+          garble(got, m, n, ldc);
+          std::fill_n(got_sums.begin(), n, garbage);
+        }
+        gemm_tn(m, n, k, a.data(), lda, b.data(), ldb, got.data(), ldc, store,
+                got_sums.data());
+        const std::string where = std::string(backend_label(be)) +
+                                  " m=" + std::to_string(m) +
+                                  " n=" + std::to_string(n) +
+                                  " k=" + std::to_string(k) +
+                                  " pad=" + std::to_string(pad) +
+                                  (set ? " set" : " add") +
+                                  (special ? " special" : "");
+        EXPECT_TRUE(same_bits(got, want)) << "C " << where;
+        // Two NaN addends: which payload survives is the operand order the
+        // compiler picked for the vector add.
+        EXPECT_TRUE(special ? same_value(got_sums, want_sums)
+                            : same_bits(got_sums, want_sums))
+            << "sums " << where;
       }
-    }
+    });
   }
 }
 
@@ -456,11 +566,14 @@ TEST(SimdLayerKernelTest, StoreSetEqualsZeroFillThenAccumulate) {
                 << backend_label(be) << " nt m=" << m << " n=" << n
                 << " k=" << k;
           }
-          // Column sums: m rows of n columns.
+          // gemm_tn's column sums: m rows of n columns.
           const auto a = fill(m * (n + 1));
           std::vector<double> set(n, garbage), add(n, 0.0);
-          col_sums_add(m, n, a.data(), n + 1, set.data(), Store::kSet);
-          col_sums_add(m, n, a.data(), n + 1, add.data());
+          std::vector<double> c_set(n), c_add(n);
+          gemm_tn(1, n, m, a.data(), 1, a.data(), n + 1, c_set.data(), n,
+                  Store::kSet, set.data());
+          gemm_tn(1, n, m, a.data(), 1, a.data(), n + 1, c_add.data(), n,
+                  Store::kAdd, add.data());
           EXPECT_TRUE(same_value(set, add))
               << backend_label(be) << " col_sums rows=" << m << " cols=" << n;
         }

@@ -210,6 +210,34 @@ TEST(WorkspaceMlpTest, WorkspacesServeAlternatingBatchSizes) {
                                                       want1.flat().end()));
 }
 
+TEST(WorkspaceMlpTest, EightRowForwardEqualsEightOneRowForwardsOnEveryTier) {
+  // A batch forward and the 1-row forward of act / the Twin-Q screen take
+  // different tile paths through gemm_nn's bias-and-ReLU epilogue. At the
+  // TD3 nets' widths each output is the same FMA chain from the same start
+  // value on both, so a row's Q-value or action does not depend on the
+  // batch around it. (Not at every width: avx2's 4x4 tiles start narrow
+  // outputs from the bias where the 1-row path adds the bias last.)
+  BackendGuard guard;
+  for (const auto be : selectable_backends()) {
+    simd::force_backend(be);
+    for (const NetCase& nc : {kNets[0], kNets[1]}) {
+      Rng rng(16);
+      Mlp net(nc.dims, rng, nc.out);
+      const Matrix x = random_matrix(8, nc.dims.front(), rng);
+      const Matrix batch = net.forward(x);
+      for (std::size_t r = 0; r < x.rows(); ++r) {
+        const std::vector<double> one = net.forward_one(x.row(r));
+        ASSERT_EQ(one.size(), batch.cols());
+        EXPECT_EQ(std::memcmp(one.data(), batch.row(r).data(),
+                              one.size() * sizeof(double)),
+                  0)
+            << simd::backend_label(be) << " net " << nc.dims.front() << "->"
+            << nc.dims.back() << ", row " << r;
+      }
+    }
+  }
+}
+
 TEST(WorkspaceMlpTest, BackwardBeforeForwardThrows) {
   Rng rng(15);
   Linear lin(3, 2, rng);

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <sstream>
 
+#include "common/math_util.hpp"
+#include "common/simd.hpp"
 #include "sparksim/environment.hpp"
 
 namespace deepcat::tuners {
@@ -143,6 +147,117 @@ TEST(DeepCatTunerTest, TwinQOptimizerStopsAtThreshold) {
   for (double a : action) {
     EXPECT_GE(a, 0.0);
     EXPECT_LE(a, 1.0);
+  }
+}
+
+// Algorithm 1 as it ran before critic 2 was skipped: both critics on every
+// candidate. Counts into `skippable` the iterations whose Q1 could not beat
+// the best candidate, where the tuner now skips critic 2.
+TwinQOptimizerTrace two_critic_loop(DeepCatTuner& tuner,
+                                    std::span<const double> state,
+                                    std::vector<double>& action,
+                                    std::size_t& skippable) {
+  const DeepCatOptions& o = tuner.options();
+  rl::Td3Agent& agent = tuner.agent();
+  TwinQOptimizerTrace trace;
+  trace.initial_min_q = agent.min_q(state, action);
+  trace.final_min_q = trace.initial_min_q;
+  if (trace.initial_min_q >= o.q_threshold) {
+    trace.accepted_original = true;
+    return trace;
+  }
+  std::vector<double> candidate = action;
+  std::vector<double> best = action;
+  double best_q = trace.initial_min_q;
+  for (std::size_t i = 0; i < o.max_optimizer_iters; ++i) {
+    ++trace.iterations;
+    for (double& a : candidate) {
+      a = common::clamp(a + tuner.rng().normal(0.0, o.optimizer_sigma), 0.0,
+                        1.0);
+    }
+    const auto [q1, q2] = agent.twin_q(state, candidate);
+    if (q1 <= best_q) ++skippable;
+    const double q = std::min(q1, q2);
+    if (q > best_q) {
+      best_q = q;
+      best = candidate;
+    }
+    if (q >= o.q_threshold) break;
+    candidate = best;
+  }
+  action = best;
+  trace.final_min_q = best_q;
+  return trace;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Bit-equal, or both NaN (a NaN Q-value's payload is the FMA's choice).
+bool same_q(double a, double b) {
+  return same_bits(a, b) || (std::isnan(a) && std::isnan(b));
+}
+
+TEST(DeepCatTunerTest, TwinQScreenSkippingCritic2MatchesTwoCriticLoop) {
+  // 210 (state, action, noise seed) cases per ISA tier, then the same with
+  // critic 1 answering NaN, against the loop that always ran both critics:
+  // the action, the trace and the noise stream must agree bit for bit.
+  namespace simd = common::simd;
+  struct Guard {
+    ~Guard() { simd::force_backend(simd::Backend::kAvx512); }
+  } guard;
+  DeepCatOptions o = fast_options(13);
+  o.max_optimizer_iters = 24;
+  DeepCatTuner tuner(o);
+  TuningEnvironment env = make_env(13);
+  (void)tuner.train_offline(env, 120);
+  for (const auto be : {simd::Backend::kScalar, simd::Backend::kAvx2,
+                        simd::Backend::kAvx512}) {
+    if (!simd::backend_selectable(be)) continue;
+    simd::force_backend(be);
+    for (const bool nan_q1 : {false, true}) {
+      // critic1's output bias: NaN makes every Q1 NaN.
+      nn::Matrix& head_bias =
+          *tuner.agent().networks()[2].second->params().back().value;
+      const double kept = head_bias(0, 0);
+      if (nan_q1) head_bias(0, 0) = std::numeric_limits<double>::quiet_NaN();
+      common::Rng draw(100 + static_cast<std::uint64_t>(be));
+      const std::size_t cases = nan_q1 ? 10 : 210;
+      std::size_t skippable = 0;
+      for (std::size_t c = 0; c < cases; ++c) {
+        std::vector<double> state(9), action(env.action_dim());
+        for (double& x : state) x = draw.uniform();
+        for (double& x : action) x = draw.uniform();
+        const std::uint64_t seed = 1000 + c;
+        tuner.rng() = common::Rng(seed);
+        std::vector<double> got = action;
+        const TwinQOptimizerTrace t = tuner.optimize_action(state, got);
+        const double got_next = tuner.rng().uniform();
+        tuner.rng() = common::Rng(seed);
+        std::vector<double> want = action;
+        const TwinQOptimizerTrace w =
+            two_critic_loop(tuner, state, want, skippable);
+        const double want_next = tuner.rng().uniform();
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_TRUE(same_bits(got[i], want[i]))
+              << simd::backend_label(be) << " case " << c << " dim " << i;
+        }
+        EXPECT_EQ(t.iterations, w.iterations) << "case " << c;
+        EXPECT_EQ(t.accepted_original, w.accepted_original) << "case " << c;
+        EXPECT_TRUE(same_q(t.initial_min_q, w.initial_min_q)) << "case " << c;
+        EXPECT_TRUE(same_q(t.final_min_q, w.final_min_q)) << "case " << c;
+        EXPECT_TRUE(same_bits(got_next, want_next)) << "case " << c;
+      }
+      // The cases must exercise the skip (a NaN Q1 never takes it).
+      if (nan_q1) {
+        EXPECT_EQ(skippable, 0u) << simd::backend_label(be);
+      } else {
+        EXPECT_GT(skippable, cases) << simd::backend_label(be);
+      }
+      head_bias(0, 0) = kept;
+    }
   }
 }
 
